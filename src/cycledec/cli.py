@@ -31,7 +31,6 @@ from .oracle import DEFAULT_EDGE_LIMIT, has_triple_intersecting_cycle_pair, orac
 from .recognition import (
     cycle_numbers_via_decomposition,
     is_cycle_number_unique,
-    is_cycle_number_unique_biconnected,
     ve_components,
 )
 
@@ -51,13 +50,12 @@ def _emit(path: str | None, text: str) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    verdict = is_cycle_number_unique(g, order_seed=args.randomized_order)
+    verdict = is_cycle_number_unique(g, order_seed=args.randomized_order, every_block=args.per_component)
     print("UNIQUE" if verdict.unique else "NOT-UNIQUE")
     if args.per_component:
-        for i, block in enumerate(b for b in blocks(g).blocks if b.graph.m > 0):
-            v = is_cycle_number_unique_biconnected(block.graph, order_seed=args.randomized_order)
-            word = "unique" if v.unique else "nonunique"
-            print(f"block {i}: n={block.graph.n} m={block.graph.m} {word}")
+        for i, (h, unique) in enumerate(verdict.block_verdicts):
+            word = "unique" if unique else "nonunique"
+            print(f"block {i}: n={h.n} m={h.m} {word}")
     if args.witness and not verdict.unique and verdict.witness is not None:
         print("WITNESS")
         sys.stdout.write(write_graph(verdict.witness))

@@ -33,6 +33,13 @@ from .operators import (
 
 DEFAULT_EDGE_LIMIT = 24
 DEFAULT_CYCLE_CAP = 10**6
+# deepest recursion of the cycle walk and of the subset search; the two nest,
+# so together they stay well below the interpreter's default limit of 1000
+MAX_SEARCH_DEPTH = 250
+
+
+def _too_deep(what: str) -> TooLargeError:
+    return TooLargeError(f"{what} deeper than {MAX_SEARCH_DEPTH} levels; the graph is too large for exhaustive search")
 
 
 def _simple_cycles_through(g: MultiGraph, rem: int, e0: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -46,6 +53,7 @@ def _simple_cycles_through(g: MultiGraph, rem: int, e0: int) -> list[tuple[int, 
     out: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     seen = {a, b}
     steps: list[tuple[int, int]] = [(a, e0)]
+    cap = MAX_SEARCH_DEPTH
 
     def walk(x: int, mask: int) -> None:
         for e in g.incident(x):
@@ -57,6 +65,8 @@ def _simple_cycles_through(g: MultiGraph, rem: int, e0: int) -> list[tuple[int, 
                 continue
             if w in seen:
                 continue
+            if len(steps) >= cap:
+                raise _too_deep("cycle walk")
             seen.add(w)
             steps.append((x, e))
             walk(w, mask | (1 << e))
@@ -93,16 +103,18 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
 
     memo: dict[int, tuple[int, int, tuple[Cycle, ...], tuple[Cycle, ...]]] = {}
 
-    def solve(rem: int) -> tuple[int, int, tuple[Cycle, ...], tuple[Cycle, ...]]:
+    def solve(rem: int, depth: int) -> tuple[int, int, tuple[Cycle, ...], tuple[Cycle, ...]]:
         if rem == 0:
             return 0, 0, (), ()
         hit = memo.get(rem)
         if hit is not None:
             return hit
+        if depth >= MAX_SEARCH_DEPTH:
+            raise _too_deep("subset search")
         e0 = (rem & -rem).bit_length() - 1
         best: Optional[list] = None
         for cmask, steps in _simple_cycles_through(g, rem, e0):
-            c2, n2, wmin, wmax = solve(rem & ~cmask)
+            c2, n2, wmin, wmax = solve(rem & ~cmask, depth + 1)
             cyc = Cycle(steps)
             if best is None:
                 best = [1 + c2, 1 + n2, (cyc,) + wmin, (cyc,) + wmax]
@@ -118,7 +130,7 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
         memo[rem] = res
         return res
 
-    c, nu, wmin, wmax = solve((1 << g.m) - 1)
+    c, nu, wmin, wmax = solve((1 << g.m) - 1, 0)
     return OracleResult(c, nu, CycleDecomposition(wmin), CycleDecomposition(wmax))
 
 

@@ -9,11 +9,16 @@ needs no global restarts and finishes in at most n - 2 steps per block.
 
 The mutable working graph keeps every vertex id ever created and never
 reuses edge ids, which makes traces exactly replayable.
+
+The yes/no verdict takes a shorter route that builds no trace: a treewidth
+gate, series reduction and a simple-edge prefilter settle most blocks, and
+only what is left runs the worklist. Witnesses come from the worklist,
+built when first asked for.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +33,7 @@ from .errors import (
 from .connectivity import blocks, is_biconnected
 from .generators import Rng
 from .multigraph import MultiGraph, degree, is_eulerian, is_eulerian_multiedge
-from .oracle import DEFAULT_EDGE_LIMIT, oracle_cycle_numbers
+from .oracle import DEFAULT_EDGE_LIMIT, is_treewidth_at_most_2, oracle_cycle_numbers
 
 
 @dataclass(frozen=True)
@@ -75,13 +80,42 @@ class DecompositionTrace:
         return tuple(comp.graph for comp in self.components)
 
 
-@dataclass(frozen=True)
 class RecognitionVerdict:
-    unique: bool
-    witness: Optional[MultiGraph]
+    """Answer of the forced-size test.
+
+    `witness` is the first final component that is not an Eulerian
+    multiedge when the worklist runs, in the caller's order, on the first
+    failing block; None on a positive answer. It is built on first access.
+    `block_verdicts` holds (block, unique) for every block decided, in
+    block order.
+    """
+
+    __slots__ = ("unique", "block_verdicts", "_witness", "_failing_block", "_order_seed")
+
+    def __init__(self, unique: bool, failing_block: Optional[MultiGraph] = None,
+                 order_seed: Optional[int] = None,
+                 block_verdicts: tuple[tuple[MultiGraph, bool], ...] = ()) -> None:
+        self.unique = unique
+        self.block_verdicts = block_verdicts
+        self._witness: Optional[MultiGraph] = None
+        self._failing_block = failing_block
+        self._order_seed = order_seed
+
+    @property
+    def witness(self) -> Optional[MultiGraph]:
+        if self._failing_block is not None:
+            _, trace = ve_components(self._failing_block, order_seed=self._order_seed)
+            self._witness = next((c.graph for c in trace.components if not is_eulerian_multiedge(c.graph)), None)
+            if self._witness is None:
+                raise RuntimeError("the verdict route and the worklist disagree on a block")
+            self._failing_block = None
+        return self._witness
 
     def __bool__(self) -> bool:
         return self.unique
+
+    def __repr__(self) -> str:
+        return f"RecognitionVerdict(unique={self.unique})"
 
 
 class _WorkGraph:
@@ -334,36 +368,96 @@ def replay_trace(trace: DecompositionTrace) -> MultiGraph:
     return MultiGraph(trace.input_n, [endpoints[e] for e in range(trace.input_m)])
 
 
+def series_reduction(g: MultiGraph) -> MultiGraph:
+    """Suppress every degree-2 vertex whose two edges lead to distinct neighbours.
+
+    Every cycle through such a vertex uses both of its edges, so the
+    minimum and maximum decomposition sizes do not change. Suppression
+    keeps every other degree, so one sweep over the vertices finds all of
+    them in O(n + m); a vertex whose edges both lead to one neighbour stays.
+    Survivors keep their relative order and get dense ids; edges come
+    grouped by endpoint pair.
+    """
+    adj: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
+    for u, v in g.edges():
+        adj[u][v] = adj[u].get(v, 0) + 1
+        adj[v][u] = adj[v].get(u, 0) + 1
+    for x in range(g.n):
+        nbrs = adj[x]
+        if len(nbrs) != 2 or sum(nbrs.values()) != 2:
+            continue
+        a, b = nbrs
+        del adj[a][x], adj[b][x], adj[x]
+        adj[a][b] = adj[a].get(b, 0) + 1
+        adj[b][a] = adj[b].get(a, 0) + 1
+    local = {v: i for i, v in enumerate(adj)}
+    edges = [(local[u], local[w]) for u, nbrs in adj.items() for w, k in nbrs.items() if u < w for _ in range(k)]
+    return MultiGraph(len(local), edges)
+
+
+def _block_is_unique(h: MultiGraph) -> bool:
+    """Verdict of one biconnected even block with at least one edge.
+
+    Four stages, each keeping the worklist's answer: a unique graph has
+    treewidth at most 2; series reduction keeps both decomposition numbers
+    and leaves an even multiedge when only two vertices remain; the edge of
+    a vertex-edge separator is a bridge of the graph minus a vertex, so a
+    reduced block whose edges all have parallel copies is already final and
+    not a multiedge; whatever is left runs the worklist. A two-vertex block
+    is an even multiedge already and skips the stages.
+    """
+    if h.n == 2:
+        return True
+    if not is_treewidth_at_most_2(h):
+        return False
+    reduced = series_reduction(h)
+    if reduced.n == 2:
+        return True
+    pairs = Counter((u, v) if u < v else (v, u) for u, v in reduced.edges())
+    if 1 not in pairs.values():
+        return False
+    _, trace = ve_components(reduced)
+    return all(is_eulerian_multiedge(c.graph) for c in trace.components)
+
+
 def is_cycle_number_unique_biconnected(g: MultiGraph, order_seed: Optional[int] = None) -> RecognitionVerdict:
     """Forced-size test for a biconnected even graph.
 
-    The witness on a negative answer is the first final component that is
-    not an Eulerian multiedge.
+    order_seed only changes the witness on a negative answer, which is the
+    first final component of the worklist that is not an Eulerian multiedge.
     """
     if not is_biconnected(g):
         raise NotBiconnectedError("this entry point needs a biconnected input")
     if any(degree(g, v) % 2 for v in range(g.n)):
         raise OddDegreeError("all degrees must be even")
     if g.m == 0:
-        return RecognitionVerdict(True, None)
-    _, trace = ve_components(g, order_seed=order_seed)
-    for comp in trace.components:
-        if not is_eulerian_multiedge(comp.graph):
-            return RecognitionVerdict(False, comp.graph)
-    return RecognitionVerdict(True, None)
+        return RecognitionVerdict(True)
+    unique = _block_is_unique(g)
+    return RecognitionVerdict(unique, None if unique else g, order_seed, ((g, unique),))
 
 
-def is_cycle_number_unique(g: MultiGraph, order_seed: Optional[int] = None) -> RecognitionVerdict:
-    """Forced-size test for a connected even graph, block by block."""
+def is_cycle_number_unique(g: MultiGraph, order_seed: Optional[int] = None,
+                           every_block: bool = False) -> RecognitionVerdict:
+    """Forced-size test for a connected even graph, block by block.
+
+    Stops at the first failing block unless every_block is set, in which
+    case block_verdicts covers every block with an edge.
+    """
     if not is_eulerian(g):
         raise NotEulerianError("uniqueness is defined for connected even graphs")
+    decided: list[tuple[MultiGraph, bool]] = []
+    failing: Optional[MultiGraph] = None
     for block in blocks(g).blocks:
-        if block.graph.m == 0:
+        h = block.graph
+        if h.m == 0:
             continue
-        verdict = is_cycle_number_unique_biconnected(block.graph, order_seed=order_seed)
-        if not verdict.unique:
-            return verdict
-    return RecognitionVerdict(True, None)
+        unique = _block_is_unique(h)
+        decided.append((h, unique))
+        if not unique and failing is None:
+            failing = h
+            if not every_block:
+                break
+    return RecognitionVerdict(failing is None, failing, order_seed, tuple(decided))
 
 
 def cycle_numbers_via_decomposition(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT,

@@ -4,7 +4,9 @@ import sys
 import pytest
 
 import cycledec as cd
+from cycledec import recognition
 from cycledec.cli import main
+from cycledec.oracle import DEFAULT_EDGE_LIMIT, MAX_SEARCH_DEPTH
 
 
 def write_graph_file(tmp_path, name, g):
@@ -51,6 +53,23 @@ class TestCheck:
         blocks = [l for l in out if l.startswith("block ")]
         assert len(blocks) == 2
         assert all(l.endswith("unique") for l in blocks)
+
+    def test_per_component_decides_each_block_once(self, tmp_path, capsys, monkeypatch):
+        # C4, doubled triangle, C3 glued in a chain: the middle block fails
+        g, _ = cd.vertex_identification(cd.gen_cycle(4), 2, cd.gen_closed_necklace(3), 0)
+        g, _ = cd.vertex_identification(g, 5, cd.gen_cycle(3), 0)
+        path = write_graph_file(tmp_path, "chain.graph", g)
+        decided = []
+        inner = recognition._block_is_unique
+        monkeypatch.setattr(recognition, "_block_is_unique", lambda h: decided.append(h) or inner(h))
+        assert main(["check", "--per-component", path]) == 1
+        assert capsys.readouterr().out == (
+            "NOT-UNIQUE\n"
+            "block 0: n=4 m=4 unique\n"
+            "block 1: n=3 m=6 nonunique\n"
+            "block 2: n=3 m=3 unique\n"
+        )
+        assert len(decided) == 3
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(cd.write_graph(cd.gen_cycle(4))))
@@ -137,6 +156,18 @@ class TestOracleCmd:
     def test_edge_limit_flag(self, tmp_path, capsys):
         path = write_graph_file(tmp_path, "c26.graph", cd.gen_cycle(26))
         assert main(["oracle", "--edge-limit", "26", path]) == 0
+
+    def test_deep_search_exit_three(self, tmp_path, capsys):
+        # a raised edge budget must not turn a long cycle into a RecursionError
+        path = write_graph_file(tmp_path, "c1500.graph", cd.gen_cycle(1500))
+        assert main(["oracle", "--edge-limit", "5000", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    def test_depth_cap_clears_the_default_budget(self):
+        # a walk or a search never nests deeper than the edge count
+        assert MAX_SEARCH_DEPTH > DEFAULT_EDGE_LIMIT
 
 
 class TestNumbersCmd:
