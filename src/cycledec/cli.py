@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .errors import GraphError, TooLargeError
-from .connectivity import blocks
+from .connectivity import BlockForest, blocks
 from .generators import (
     gen_class_G,
     gen_class_H,
@@ -91,12 +91,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     lines.append("VERDICT " + ("unique" if unique else "nonunique"))
     _emit(args.trace_out, "".join(line + "\n" for line in lines))
     if args.dot_out is not None:
-        Path(args.dot_out).write_text(_block_dot(g), encoding="utf-8")
+        Path(args.dot_out).write_text(_block_dot(forest), encoding="utf-8")
     return 0 if unique else 1
 
 
-def _block_dot(g: MultiGraph) -> str:
-    forest = blocks(g)
+def _block_dot(forest: BlockForest) -> str:
     out = ["graph blockstructure {"]
     for i, b in enumerate(forest.blocks):
         out.append(f'  b{i} [shape=box label="block {i}\\nn={b.graph.n} m={b.graph.m}"];')

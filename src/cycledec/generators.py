@@ -1,7 +1,6 @@
 """Seeded graph family generators and the construction script language.
 
-All randomness flows through Rng, a 64-bit xorshift-star stream whose seed
-passes through one splitmix64 round, so a (family, params, seed) triple pins
+All randomness flows through Rng, so a (family, params, seed) triple pins
 the output bit for bit on every platform.
 
 Construction scripts are little stack programs that rebuild a generated
@@ -15,89 +14,56 @@ graph through the public operators, id for id:
     E <e1> <u1> <e2> <u2>    pop g2, pop g1, push edge identification
     X <e1> <u1> <e2> <u2>    pop g2, pop g1, push vertex-edge identification
 
-The big-graph generators build on raw edge lists that mirror the operators'
-id conventions exactly, sidestepping the quadratic cost of rebuilding an
-immutable graph per application; replaying the emitted script through the
-operators must reproduce the same labeled graph.
+The big-graph generators apply the operators' own edge-list core in place,
+sidestepping the quadratic cost of rebuilding an immutable graph per
+application; replaying the emitted script through the public operators
+reproduces the same labeled graph.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidParamError
 from .multigraph import MultiGraph
-from .operators import edge_identification, vertex_identification, vertex_edge_identification
+from .operators import edge_identification, join_vertex, splice, vertex_identification, vertex_edge_identification
+from .rng import Rng
 
-_MASK = (1 << 64) - 1
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
-_SPLITMIX_MUL2 = 0x94D049BB133111EB
-_STAR_MUL = 0x2545F4914F6CDD1D
+# The families as [n, edge list] pairs, the operand form of the operator core.
+
+def _multiedge(k: int) -> list:
+    return [2, [(0, 1)] * (2 * k)]
 
 
-class Rng:
-    """xorshift64* with shifts 12/25/27, seeded by one splitmix64 round.
+def _cycle(k: int) -> list:
+    return [k, [(i, (i + 1) % k) for i in range(k)]]
 
-    Tiny, well studied, and trivially portable; not for cryptography.
-    """
 
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int) -> None:
-        z = (seed + _SPLITMIX_GAMMA) & _MASK
-        z = ((z ^ (z >> 30)) * _SPLITMIX_MUL1) & _MASK
-        z = ((z ^ (z >> 27)) * _SPLITMIX_MUL2) & _MASK
-        z ^= z >> 31
-        # xorshift state must never be zero
-        self._state = z if z else _SPLITMIX_GAMMA
-
-    def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK
-        x ^= x >> 27
-        self._state = x
-        return (x * _STAR_MUL) & _MASK
-
-    def below(self, n: int) -> int:
-        """Uniform draw from 0..n-1, rejection sampled against modulo bias."""
-        if n <= 0:
-            raise InvalidParamError(f"below() needs a positive bound, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+def _necklace(k: int) -> list:
+    edges = []
+    for i in range(k):
+        pair = (i, (i + 1) % k)
+        edges += (pair, pair)
+    return [k, edges]
 
 
 def gen_eulerian_multiedge(k: int) -> MultiGraph:
     """Two vertices joined by 2k parallel edges."""
     if k < 1:
         raise InvalidParamError(f"k={k}, need at least one edge pair")
-    return MultiGraph(2, [(0, 1)] * (2 * k))
+    return MultiGraph(*_multiedge(k))
 
 
 def gen_cycle(k: int) -> MultiGraph:
     """The cycle on k vertices; k = 2 is a parallel pair."""
     if k < 2:
         raise InvalidParamError(f"k={k}, a cycle needs at least two vertices")
-    return MultiGraph(k, [(i, (i + 1) % k) for i in range(k)])
+    return MultiGraph(*_cycle(k))
 
 
 def gen_closed_necklace(k: int) -> MultiGraph:
     """The cycle on k vertices with every edge doubled."""
     if k < 2:
         raise InvalidParamError(f"k={k}, a closed necklace needs at least two vertices")
-    edges = []
-    for i in range(k):
-        edges.append((i, (i + 1) % k))
-        edges.append((i, (i + 1) % k))
-    return MultiGraph(k, edges)
+    return MultiGraph(*_necklace(k))
 
 
 def subdivide_edge(g: MultiGraph, e: int) -> MultiGraph:
@@ -113,59 +79,6 @@ def subdivide_edge(g: MultiGraph, e: int) -> MultiGraph:
     edges[e] = (u, w)
     edges.append((w, v))
     return MultiGraph(g.n + 1, edges)
-
-
-# Raw counterparts working on [n, edge list] pairs. These must mirror the
-# public operators' id conventions exactly; the differential tests replay
-# emitted scripts through the operators and compare labeled graphs.
-
-def _raw_multiedge(k: int) -> list:
-    return [2, [(0, 1)] * (2 * k)]
-
-def _raw_necklace(k: int) -> list:
-    edges = []
-    for i in range(k):
-        edges.append((i, (i + 1) % k))
-        edges.append((i, (i + 1) % k))
-    return [k, edges]
-
-def _raw_vident(g1: list, u1: int, g2: list, u2: int) -> None:
-    n1 = g1[0]
-    def remap(w: int) -> int:
-        return u1 if w == u2 else n1 + (w if w < u2 else w - 1)
-    g1[1].extend((remap(a), remap(b)) for a, b in g2[1])
-    g1[0] = n1 + g2[0] - 1
-
-def _raw_eident(g1: list, e1: int, u1: int, g2: list, e2: int, u2: int) -> None:
-    n1 = g1[0]
-    a1, b1 = g1[1][e1]
-    v1 = b1 if u1 == a1 else a1
-    del g1[1][e1]
-    a2, b2 = g2[1][e2]
-    v2 = b2 if u2 == a2 else a2
-    for idx, (x, y) in enumerate(g2[1]):
-        if idx == e2:
-            continue
-        g1[1].append((n1 + x, n1 + y))
-    g1[1].append((u1, n1 + u2))
-    g1[1].append((v1, n1 + v2))
-    g1[0] = n1 + g2[0]
-
-def _raw_veident(g1: list, e1: int, u1: int, g2: list, e2: int, u2: int) -> None:
-    n1 = g1[0]
-    a1, b1 = g1[1][e1]
-    v1 = b1 if u1 == a1 else a1
-    del g1[1][e1]
-    a2, b2 = g2[1][e2]
-    v2 = b2 if u2 == a2 else a2
-    def remap(w: int) -> int:
-        return v1 if w == v2 else n1 + (w if w < v2 else w - 1)
-    for idx, (x, y) in enumerate(g2[1]):
-        if idx == e2:
-            continue
-        g1[1].append((remap(x), remap(y)))
-    g1[1].append((u1, remap(u2)))
-    g1[0] = n1 + g2[0] - 1
 
 
 def gen_class_G(target_n: int, seed: int, max_leaf: int = 3) -> tuple[MultiGraph, tuple]:
@@ -206,7 +119,7 @@ def gen_class_G(target_n: int, seed: int, max_leaf: int = 3) -> tuple[MultiGraph
         node = nodes[idx]
         if node[0] == "M":
             script.append(("M", node[1]))
-            results[idx] = _raw_multiedge(node[1])
+            results[idx] = _multiedge(node[1])
             continue
         if not expanded:
             stack.append((idx, True))
@@ -219,14 +132,14 @@ def gen_class_G(target_n: int, seed: int, max_leaf: int = 3) -> tuple[MultiGraph
             u1 = rng.below(g1[0])
             u2 = rng.below(g2[0])
             script.append(("V", u1, u2))
-            _raw_vident(g1, u1, g2, u2)
+            join_vertex(g1, u1, g2, u2)
         else:
             e1 = rng.below(len(g1[1]))
             u1 = g1[1][e1][rng.below(2)]
             e2 = rng.below(len(g2[1]))
             u2 = g2[1][e2][rng.below(2)]
             script.append(("X", e1, u1, e2, u2))
-            _raw_veident(g1, e1, u1, g2, e2, u2)
+            splice(g1, e1, u1, g2, e2, u2, merge=True)
         results[idx] = g1
     raw = results[0]
     return MultiGraph(raw[0], raw[1]), tuple(script)
@@ -261,7 +174,7 @@ def gen_class_H(target_n: int, seed: int) -> MultiGraph:
         idx, expanded = stack.pop()
         node = nodes[idx]
         if node[0] == "N":
-            results[idx] = _raw_necklace(node[1])
+            results[idx] = _necklace(node[1])
             continue
         if not expanded:
             stack.append((idx, True))
@@ -274,7 +187,7 @@ def gen_class_H(target_n: int, seed: int) -> MultiGraph:
         u1 = g1[1][e1][rng.below(2)]
         e2 = rng.below(len(g2[1]))
         u2 = g2[1][e2][rng.below(2)]
-        _raw_eident(g1, e1, u1, g2, e2, u2)
+        splice(g1, e1, u1, g2, e2, u2, merge=False)
         results[idx] = g1
     raw = results[0]
     return MultiGraph(raw[0], raw[1])
@@ -294,10 +207,9 @@ def gen_class_H_prime(target_n: int, seed: int) -> MultiGraph:
         return MultiGraph(1, [])
     rng = Rng(seed)
     if rng.below(2) == 0:
-        g = _raw_necklace(2 + rng.below(min(3, target_n - 1)))
+        g = _necklace(2 + rng.below(min(3, target_n - 1)))
     else:
-        k = 2 + rng.below(min(4, target_n - 1))
-        g = [k, [(i, (i + 1) % k) for i in range(k)]]
+        g = _cycle(2 + rng.below(min(4, target_n - 1)))
     while g[0] < target_n:
         room = target_n - g[0]
         choice = rng.below(4)
@@ -320,21 +232,19 @@ def gen_class_H_prime(target_n: int, seed: int) -> MultiGraph:
             g[0] = w + 1
         elif choice in (1, 2):
             if choice == 1:
-                fresh = _raw_necklace(2 + rng.below(min(2, room - 1)))
+                fresh = _necklace(2 + rng.below(min(2, room - 1)))
             else:
-                k = 2 + rng.below(min(4, room - 1))
-                fresh = [k, [(i, (i + 1) % k) for i in range(k)]]
+                fresh = _cycle(2 + rng.below(min(4, room - 1)))
             e1 = rng.below(len(g[1]))
             u1 = g[1][e1][rng.below(2)]
             e2 = rng.below(len(fresh[1]))
             u2 = fresh[1][e2][rng.below(2)]
-            _raw_eident(g, e1, u1, fresh, e2, u2)
+            splice(g, e1, u1, fresh, e2, u2, merge=False)
         else:
             u1 = low[rng.below(len(low))]
-            k = 2 + rng.below(min(4, room))
-            fresh = [k, [(i, (i + 1) % k) for i in range(k)]]
-            u2 = rng.below(k)
-            _raw_vident(g, u1, fresh, u2)
+            fresh = _cycle(2 + rng.below(min(4, room)))
+            u2 = rng.below(fresh[0])
+            join_vertex(g, u1, fresh, u2)
     return MultiGraph(g[0], g[1])
 
 

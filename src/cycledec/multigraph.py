@@ -12,7 +12,7 @@ m lines ``e <u> <v>``. Lines starting with ``#`` and blank lines are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .errors import (
     DegreeNotTwoError,
@@ -21,8 +21,13 @@ from .errors import (
     InvalidVertexError,
     LoopEdgeError,
     NeighboursNotDistinctError,
+    TooLargeError,
     VertexOutOfRangeError,
 )
+
+# largest vertex count parse_graph accepts; the header is checked before
+# anything of that size is allocated
+MAX_VERTICES = 10**7
 
 
 class MultiGraph:
@@ -98,27 +103,38 @@ def neighbours(g: MultiGraph, v: int) -> frozenset[int]:
     return frozenset(g.other(e, v) for e in g.incident(v))
 
 
-def _is_connected(g: MultiGraph) -> bool:
+def reach(g: MultiGraph, start: int, skip_vertex: int = -1, skip_edges: Collection[int] = ()) -> bytearray:
+    """Marks of the vertices reachable from start in g minus skip_vertex and
+    minus the edges in skip_edges: entry w is 1 iff w is reached.
+
+    The skipped vertex is never entered, so its mark is 0 unless it is start.
+    """
+    ends, inc = g._endpoints, g._incidence
     seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
+    if skip_vertex >= 0:
+        seen[skip_vertex] = 1
+    seen[start] = 1
+    stack = [start]
     while stack:
-        v = stack.pop()
-        for e in g.incident(v):
-            w = g.other(e, v)
+        x = stack.pop()
+        for e in inc[x]:
+            if e in skip_edges:
+                continue
+            a, b = ends[e]
+            w = b if a == x else a
             if not seen[w]:
                 seen[w] = 1
-                count += 1
                 stack.append(w)
-    return count == g.n
+    if skip_vertex >= 0 and skip_vertex != start:
+        seen[skip_vertex] = 0
+    return seen
 
 
 def is_eulerian(g: MultiGraph) -> bool:
     """Connected with every degree even. The one-vertex graph qualifies."""
     if any(degree(g, v) % 2 for v in range(g.n)):
         return False
-    return _is_connected(g)
+    return all(reach(g, 0))
 
 
 def is_eulerian_multiedge(g: MultiGraph) -> bool:
@@ -250,6 +266,8 @@ def parse_graph(text: str) -> MultiGraph:
                 raise GraphSyntaxError(f"non-integer header field in {line!r}", lineno) from None
             if n < 1 or m < 0:
                 raise GraphSyntaxError(f"need n >= 1 and m >= 0, got n={n} m={m}", lineno)
+            if n > MAX_VERTICES:
+                raise TooLargeError(f"line {lineno}: n={n} exceeds the vertex budget {MAX_VERTICES}")
             header_seen = True
             continue
         if parts[0] != "e" or len(parts) != 3:

@@ -17,6 +17,7 @@ new graph plus a record carrying the full relabelling maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .errors import (
@@ -26,11 +27,10 @@ from .errors import (
     NotASeparatorError,
     NotATwoCutError,
     NotBiconnectedError,
-    PreconditionViolatedError,
     SharedEndpointError,
 )
 from .connectivity import find_cut_edge, is_biconnected
-from .multigraph import MultiGraph, degree, induced_subgraph
+from .multigraph import MultiGraph, induced_subgraph, reach
 
 
 @dataclass(frozen=True)
@@ -72,26 +72,100 @@ def _check_edge(g: MultiGraph, e: int, label: str) -> None:
         raise InvalidParamError(f"{label}={e} out of range for m={g.m}")
 
 
+def _glued(n1: int, n2: int, w: int, into: int) -> tuple[int, ...]:
+    """Vertex map of a right operand on n2 vertices whose vertex w merges
+    into left vertex into; the others follow the left's n1 ids in order."""
+    return (*range(n1, n1 + w), into, *range(n1 + w, n1 + n2 - 1))
+
+
+def join_vertex(g1: list, u1: int, g2: list, u2: int) -> tuple[int, ...]:
+    """Vertex identification in place on [n, edge list] pairs.
+
+    Appends g2's edges to g1 with u2 merged into u1 and returns g2's vertex
+    map. No checks: the public operators and the generators share this core.
+    """
+    n1, edges1 = g1
+    vmap2 = _glued(n1, g2[0], u2, u1)
+    edges1 += [(vmap2[a], vmap2[b]) for a, b in g2[1]]
+    g1[0] = n1 + g2[0] - 1
+    return vmap2
+
+
+def splice(g1: list, e1: int, u1: int, g2: list, e2: int, u2: int, merge: bool) -> tuple[int, ...]:
+    """Edge identification, or vertex-edge identification when merge is set,
+    in place on [n, edge list] pairs.
+
+    Deletes e1 and e2 and appends g2's other edges to g1, then the edge
+    u1-u2 and, without merge, the edge between the far endpoints v1-v2;
+    with merge, v2 is glued onto v1 instead. Returns g2's vertex map.
+    """
+    n1, edges1 = g1
+    n2, edges2 = g2
+    a1, b1 = edges1[e1]
+    v1 = b1 if u1 == a1 else a1
+    a2, b2 = edges2[e2]
+    v2 = b2 if u2 == a2 else a2
+    vmap2 = _glued(n1, n2, v2, v1) if merge else tuple(range(n1, n1 + n2))
+    moved = [(vmap2[x], vmap2[y]) for x, y in edges2]
+    del edges1[e1], moved[e2]
+    edges1 += moved
+    edges1.append((u1, vmap2[u2]))
+    if not merge:
+        edges1.append((v1, vmap2[v2]))
+    g1[0] = n1 + n2 - 1 if merge else n1 + n2
+    return vmap2
+
+
+def _without(start: int, m: int, e: int) -> tuple[Optional[int], ...]:
+    """Edge map of an operand with m edges whose edge e is deleted and whose
+    other edges move, in order, to ids from start on."""
+    return (*range(start, start + e), None, *range(start + e, start + m - 1))
+
+
 def vertex_identification(g1: MultiGraph, u1: int, g2: MultiGraph, u2: int) -> tuple[MultiGraph, OperatorApplication]:
     """Glue g1 and g2 at u1 = u2. The merged vertex keeps the id u1."""
     _check_vertex(g1, u1, "u1")
     _check_vertex(g2, u2, "u2")
-    n1 = g1.n
-    vmap2 = tuple(u1 if w == u2 else n1 + (w if w < u2 else w - 1) for w in range(g2.n))
-    edges = list(g1.edges())
-    edges.extend((vmap2[a], vmap2[b]) for a, b in g2.edges())
+    raw = [g1.n, list(g1.edges())]
+    vmap2 = join_vertex(raw, u1, [g2.n, list(g2.edges())], u2)
     rec = OperatorApplication(
         kind="V",
         anchors1=(u1,),
         anchors2=(u2,),
-        vertex_map1=tuple(range(n1)),
+        vertex_map1=tuple(range(g1.n)),
         vertex_map2=vmap2,
         edge_map1=tuple(range(g1.m)),
         edge_map2=tuple(range(g1.m, g1.m + g2.m)),
         new_edges=(),
         merged_vertex=u1,
     )
-    return MultiGraph(n1 + g2.n - 1, edges), rec
+    return MultiGraph(raw[0], raw[1]), rec
+
+
+def _splice_application(kind: str, g1: MultiGraph, e1: int, u1: int,
+                        g2: MultiGraph, e2: int, u2: int) -> tuple[MultiGraph, OperatorApplication]:
+    _check_edge(g1, e1, "e1")
+    _check_edge(g2, e2, "e2")
+    if u1 not in g1.endpoints(e1):
+        raise NotAnEndpointError(f"u1={u1} is not an endpoint of edge {e1}")
+    if u2 not in g2.endpoints(e2):
+        raise NotAnEndpointError(f"u2={u2} is not an endpoint of edge {e2}")
+    merge = kind == "X"
+    raw = [g1.n, list(g1.edges())]
+    vmap2 = splice(raw, e1, u1, [g2.n, list(g2.edges())], e2, u2, merge)
+    m1, m = g1.m, len(raw[1])
+    rec = OperatorApplication(
+        kind=kind,
+        anchors1=(e1, u1),
+        anchors2=(e2, u2),
+        vertex_map1=tuple(range(g1.n)),
+        vertex_map2=vmap2,
+        edge_map1=_without(0, m1, e1),
+        edge_map2=_without(m1 - 1, g2.m, e2),
+        new_edges=(m - 1,) if merge else (m - 2, m - 1),
+        merged_vertex=g1.other(e1, u1) if merge else None,
+    )
+    return MultiGraph(raw[0], raw[1]), rec
 
 
 def edge_identification(g1: MultiGraph, e1: int, u1: int, g2: MultiGraph, e2: int, u2: int) -> tuple[MultiGraph, OperatorApplication]:
@@ -100,48 +174,7 @@ def edge_identification(g1: MultiGraph, e1: int, u1: int, g2: MultiGraph, e2: in
     v1 and v2 are the far endpoints of e1 and e2. No vertices merge; the new
     edges take the last two ids, anchor pair first.
     """
-    _check_edge(g1, e1, "e1")
-    _check_edge(g2, e2, "e2")
-    a1, b1 = g1.endpoints(e1)
-    if u1 not in (a1, b1):
-        raise NotAnEndpointError(f"u1={u1} is not an endpoint of edge {e1}")
-    a2, b2 = g2.endpoints(e2)
-    if u2 not in (a2, b2):
-        raise NotAnEndpointError(f"u2={u2} is not an endpoint of edge {e2}")
-    v1 = b1 if u1 == a1 else a1
-    v2 = b2 if u2 == a2 else a2
-    n1 = g1.n
-    vmap2 = tuple(n1 + w for w in range(g2.n))
-    edges = []
-    emap1: list[Optional[int]] = [None] * g1.m
-    for e in range(g1.m):
-        if e == e1:
-            continue
-        emap1[e] = len(edges)
-        edges.append(g1.endpoints(e))
-    emap2: list[Optional[int]] = [None] * g2.m
-    for e in range(g2.m):
-        if e == e2:
-            continue
-        x, y = g2.endpoints(e)
-        emap2[e] = len(edges)
-        edges.append((vmap2[x], vmap2[y]))
-    fu = len(edges)
-    edges.append((u1, vmap2[u2]))
-    fv = fu + 1
-    edges.append((v1, vmap2[v2]))
-    rec = OperatorApplication(
-        kind="E",
-        anchors1=(e1, u1),
-        anchors2=(e2, u2),
-        vertex_map1=tuple(range(n1)),
-        vertex_map2=vmap2,
-        edge_map1=tuple(emap1),
-        edge_map2=tuple(emap2),
-        new_edges=(fu, fv),
-        merged_vertex=None,
-    )
-    return MultiGraph(n1 + g2.n, edges), rec
+    return _splice_application("E", g1, e1, u1, g2, e2, u2)
 
 
 def vertex_edge_identification(g1: MultiGraph, e1: int, u1: int, g2: MultiGraph, e2: int, u2: int) -> tuple[MultiGraph, OperatorApplication]:
@@ -150,46 +183,7 @@ def vertex_edge_identification(g1: MultiGraph, e1: int, u1: int, g2: MultiGraph,
     The merged vertex keeps the id of e1's far endpoint; the new edge takes
     the last id.
     """
-    _check_edge(g1, e1, "e1")
-    _check_edge(g2, e2, "e2")
-    a1, b1 = g1.endpoints(e1)
-    if u1 not in (a1, b1):
-        raise NotAnEndpointError(f"u1={u1} is not an endpoint of edge {e1}")
-    a2, b2 = g2.endpoints(e2)
-    if u2 not in (a2, b2):
-        raise NotAnEndpointError(f"u2={u2} is not an endpoint of edge {e2}")
-    v1 = b1 if u1 == a1 else a1
-    v2 = b2 if u2 == a2 else a2
-    n1 = g1.n
-    vmap2 = tuple(v1 if w == v2 else n1 + (w if w < v2 else w - 1) for w in range(g2.n))
-    edges = []
-    emap1: list[Optional[int]] = [None] * g1.m
-    for e in range(g1.m):
-        if e == e1:
-            continue
-        emap1[e] = len(edges)
-        edges.append(g1.endpoints(e))
-    emap2: list[Optional[int]] = [None] * g2.m
-    for e in range(g2.m):
-        if e == e2:
-            continue
-        x, y = g2.endpoints(e)
-        emap2[e] = len(edges)
-        edges.append((vmap2[x], vmap2[y]))
-    f = len(edges)
-    edges.append((u1, vmap2[u2]))
-    rec = OperatorApplication(
-        kind="X",
-        anchors1=(e1, u1),
-        anchors2=(e2, u2),
-        vertex_map1=tuple(range(n1)),
-        vertex_map2=vmap2,
-        edge_map1=tuple(emap1),
-        edge_map2=tuple(emap2),
-        new_edges=(f,),
-        merged_vertex=v1,
-    )
-    return MultiGraph(n1 + g2.n - 1, edges), rec
+    return _splice_application("X", g1, e1, u1, g2, e2, u2)
 
 
 @dataclass(frozen=True)
@@ -228,12 +222,13 @@ def find_ve_separator(g: MultiGraph) -> Optional[VESeparator]:
 
 
 @dataclass(frozen=True)
-class VeSeparationRecord:
+class VeStep:
     """One vertex-edge separation: delete edge, split vertex, add two edges.
 
-    v1 keeps the separated vertex's id and sits on u1's side; v2 is the new
-    vertex on u2's side. f1 = (u1, v1) and f2 = (u2, v2) take the last two
-    edge ids. edge_map sends surviving input edge ids to result ids.
+    ve_separation_step returns it, and the recognition worklist records one
+    per step in its working-space ids. The split vertex keeps its id as v1 on u1's side; v2 is the new vertex
+    on u2's side. u1, u2 are the deleted edge's stored endpoints in order,
+    f1 = (u1, v1) and f2 = (u2, v2) the created edges.
     """
 
     vertex: int
@@ -244,13 +239,12 @@ class VeSeparationRecord:
     v2: int
     f1: int
     f2: int
-    edge_map: tuple[Optional[int], ...]
 
     def trace_line(self) -> str:
         return f"VE {self.vertex} {self.edge} -> {self.v1} {self.v2} {self.u1} {self.u2} {self.f1} {self.f2}"
 
 
-def ve_separation_step(g: MultiGraph, sep: VESeparator) -> tuple[MultiGraph, VeSeparationRecord]:
+def ve_separation_step(g: MultiGraph, sep: VESeparator) -> tuple[MultiGraph, VeStep]:
     """Undo one vertex-edge identification at separator sep.
 
     Returns the disjoint union of the two parts as one graph, with the
@@ -263,90 +257,25 @@ def ve_separation_step(g: MultiGraph, sep: VESeparator) -> tuple[MultiGraph, VeS
     u1, u2 = g.endpoints(e)
     if v in (u1, u2):
         raise NotASeparatorError(f"edge {e} is incident to vertex {v}")
-    # side of u1 in g - v - e
-    side = {u1}
-    stack = [u1]
-    while stack:
-        x = stack.pop()
-        for f in g.incident(x):
-            if f == e:
-                continue
-            w = g.other(f, x)
-            if w != v and w not in side:
-                side.add(w)
-                stack.append(w)
-    if u2 in side:
+    side = reach(g, u1, skip_vertex=v, skip_edges=(e,))
+    if side[u2]:
         raise NotASeparatorError(f"edge {e} is not a bridge of the graph minus vertex {v}")
     v2 = g.n
     edges = []
-    edge_map: list[Optional[int]] = [None] * g.m
     for f in range(g.m):
         if f == e:
             continue
         a, b = g.endpoints(f)
-        if a == v and b not in side:
+        if a == v and not side[b]:
             a = v2
-        elif b == v and a not in side:
+        elif b == v and not side[a]:
             b = v2
-        edge_map[f] = len(edges)
         edges.append((a, b))
     f1 = len(edges)
     edges.append((u1, v))
-    f2 = f1 + 1
     edges.append((u2, v2))
-    rec = VeSeparationRecord(
-        vertex=v, edge=e, u1=u1, u2=u2, v1=v, v2=v2, f1=f1, f2=f2, edge_map=tuple(edge_map)
-    )
+    rec = VeStep(vertex=v, edge=e, u1=u1, u2=u2, v1=v, v2=v2, f1=f1, f2=f1 + 1)
     return MultiGraph(g.n + 1, edges), rec
-
-
-def _check_two_cut_preconditions(g: MultiGraph) -> None:
-    from .oracle import is_treewidth_at_most_2  # late import, oracle depends on this module
-
-    if not is_biconnected(g):
-        raise PreconditionViolatedError("graph is not biconnected")
-    if any(degree(g, v) != 4 for v in range(g.n)):
-        raise PreconditionViolatedError("graph is not 4-regular")
-    if not is_treewidth_at_most_2(g):
-        raise PreconditionViolatedError("graph has treewidth above 2")
-
-
-def _iter_disjoint_two_cuts(g: MultiGraph):
-    """Yield 2-cuts {e1, e2} with four distinct endpoints, lexicographically."""
-    m = g.m
-    for e1 in range(m):
-        a1, b1 = g.endpoints(e1)
-        for e2 in range(e1 + 1, m):
-            a2, b2 = g.endpoints(e2)
-            if a2 in (a1, b1) or b2 in (a1, b1):
-                continue
-            side = {a1}
-            stack = [a1]
-            while stack:
-                x = stack.pop()
-                for f in g.incident(x):
-                    if f in (e1, e2):
-                        continue
-                    w = g.other(f, x)
-                    if w not in side:
-                        side.add(w)
-                        stack.append(w)
-            if b1 in side:
-                continue
-            if (a2 in side) == (b2 in side):
-                continue
-            yield (e1, e2)
-
-
-def find_disjoint_two_cut(g: MultiGraph) -> Optional[tuple[int, int]]:
-    """First 2-cut with four distinct endpoints, or None.
-
-    Defined on biconnected 4-regular graphs of treewidth at most 2; on that
-    class None identifies exactly the closed necklaces. The pair scan is
-    exhaustive, ordered by (e1, e2).
-    """
-    _check_two_cut_preconditions(g)
-    return next(_iter_disjoint_two_cuts(g), None)
 
 
 @dataclass(frozen=True)
@@ -387,22 +316,12 @@ def edge_separation_step(g: MultiGraph, cut: tuple[int, int]) -> tuple[MultiGrap
     a2, b2 = g.endpoints(e2)
     if a2 in (a1, b1) or b2 in (a1, b1):
         raise SharedEndpointError("cut edges share an endpoint")
-    side = {a1}
-    stack = [a1]
-    while stack:
-        x = stack.pop()
-        for f in g.incident(x):
-            if f in (e1, e2):
-                continue
-            w = g.other(f, x)
-            if w not in side:
-                side.add(w)
-                stack.append(w)
-    if b1 in side:
+    side = reach(g, a1, skip_edges=(e1, e2))
+    if side[b1]:
         raise NotATwoCutError("removing the pair does not disconnect the graph")
-    if (a2 in side) == (b2 in side):
+    if side[a2] == side[b2]:
         raise NotATwoCutError("second edge does not cross the cut")
-    c1, c2 = (a2, b2) if a2 in side else (b2, a2)
+    c1, c2 = (a2, b2) if side[a2] else (b2, a2)
     edges = []
     edge_map: list[Optional[int]] = [None] * g.m
     for f in range(g.m):
@@ -417,7 +336,7 @@ def edge_separation_step(g: MultiGraph, cut: tuple[int, int]) -> tuple[MultiGrap
     rec = EdgeSeparationRecord(
         e1=e1, e2=e2, f1=f1, f2=f2,
         pair1=(a1, c1), pair2=(b1, c2),
-        side=tuple(sorted(side)),
+        side=tuple(compress(range(g.n), side)),
         edge_map=tuple(edge_map),
     )
     return MultiGraph(g.n, edges), rec

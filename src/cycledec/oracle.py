@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GraphError, NotClassHError, NotEulerianError, TooLargeError
+from .errors import GraphError, NotClassHError, NotEulerianError, PreconditionViolatedError, TooLargeError
 from .connectivity import connected_components, is_biconnected
 from .multigraph import (
     Cycle,
@@ -23,13 +23,10 @@ from .multigraph import (
     endpoint_multiset,
     induced_subgraph,
     is_eulerian,
+    reach,
 )
-from .operators import (
-    EdgeSeparationRecord,
-    _iter_disjoint_two_cuts,
-    edge_identification,
-    edge_separation_step,
-)
+from .operators import EdgeSeparationRecord, edge_identification, edge_separation_step
+from .rng import Rng
 
 DEFAULT_EDGE_LIMIT = 24
 DEFAULT_CYCLE_CAP = 10**6
@@ -252,6 +249,32 @@ def is_closed_necklace(g: MultiGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
+def _iter_disjoint_two_cuts(g: MultiGraph):
+    """Yield 2-cuts {e1, e2} with four distinct endpoints, lexicographically."""
+    m = g.m
+    for e1 in range(m):
+        a1, b1 = g.endpoints(e1)
+        for e2 in range(e1 + 1, m):
+            a2, b2 = g.endpoints(e2)
+            if a2 in (a1, b1) or b2 in (a1, b1):
+                continue
+            side = reach(g, a1, skip_edges=(e1, e2))
+            if not side[b1] and side[a2] != side[b2]:
+                yield (e1, e2)
+
+
+def find_disjoint_two_cut(g: MultiGraph) -> Optional[tuple[int, int]]:
+    """First 2-cut with four distinct endpoints, or None.
+
+    Defined on class H, the biconnected 4-regular graphs of treewidth at
+    most 2; there None identifies exactly the closed necklaces. The pair
+    scan is exhaustive, ordered by (e1, e2).
+    """
+    if not is_class_H(g):
+        raise PreconditionViolatedError("need a biconnected 4-regular graph of treewidth at most 2")
+    return next(_iter_disjoint_two_cuts(g), None)
+
+
 @dataclass(frozen=True)
 class NecklaceTree:
     """Separation tree of a biconnected 4-regular treewidth-2 graph.
@@ -284,13 +307,7 @@ def decompose_class_H(g: MultiGraph, cut_seed: Optional[int] = None) -> Necklace
     """
     if not is_class_H(g):
         raise NotClassHError("need a biconnected 4-regular graph of treewidth at most 2")
-    if cut_seed is None:
-        rng = None
-    else:
-        from .generators import Rng  # late import, generators depend on operators only
-
-        rng = Rng(cut_seed)
-    return _decompose_h(g, rng)
+    return _decompose_h(g, None if cut_seed is None else Rng(cut_seed))
 
 
 def _decompose_h(g: MultiGraph, rng) -> NecklaceTree:

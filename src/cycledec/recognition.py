@@ -31,31 +31,10 @@ from .errors import (
     OddDegreeError,
 )
 from .connectivity import blocks, is_biconnected
-from .generators import Rng
 from .multigraph import MultiGraph, degree, is_eulerian, is_eulerian_multiedge
+from .operators import VeStep
 from .oracle import DEFAULT_EDGE_LIMIT, is_treewidth_at_most_2, oracle_cycle_numbers
-
-
-@dataclass(frozen=True)
-class VeStep:
-    """One applied separation in working-space ids.
-
-    The split vertex keeps its id as v1 on u1's side; v2 is fresh on u2's
-    side. u1, u2 are the deleted edge's stored endpoints in order, f1 =
-    (u1, v1) and f2 = (u2, v2) the created edges.
-    """
-
-    vertex: int
-    edge: int
-    u1: int
-    u2: int
-    v1: int
-    v2: int
-    f1: int
-    f2: int
-
-    def trace_line(self) -> str:
-        return f"VE {self.vertex} {self.edge} -> {self.v1} {self.v2} {self.u1} {self.u2} {self.f1} {self.f2}"
+from .rng import Rng
 
 
 @dataclass(frozen=True)

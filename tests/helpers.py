@@ -46,6 +46,24 @@ def naive_bridges(g: cd.MultiGraph) -> list[int]:
     return out
 
 
+def naive_components(g: cd.MultiGraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex sets of the components by label propagation over the edge list,
+    each sorted, ordered by smallest vertex."""
+    label = list(range(g.n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges():
+            low = min(label[u], label[v])
+            if label[u] != low or label[v] != low:
+                label[u] = label[v] = low
+                changed = True
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(label[v], []).append(v)
+    return tuple(tuple(vs) for vs in groups.values())
+
+
 def naive_cut_vertices(g: cd.MultiGraph) -> set[int]:
     if g.n == 1:
         return set()

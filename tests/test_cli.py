@@ -1,5 +1,9 @@
 import io
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,25 @@ class TestCheck:
     def test_randomized_order_accepted(self, necklace3_file, capsys):
         assert main(["check", "--randomized-order", "7", necklace3_file]) == 1
         assert capsys.readouterr().out == "NOT-UNIQUE\n"
+
+    @pytest.mark.parametrize("command", ["check", "decompose", "numbers", "oracle"])
+    def test_huge_header_exits_three_before_allocating(self, tmp_path, command):
+        # runs in a child capped at 1 GiB of address space, so a parser that
+        # allocated per header vertex would fail here instead of exhausting memory
+        path = tmp_path / "bomb.graph"
+        path.write_text("p 1000000000000 0\n")
+        cap = 1 << 30
+        env = dict(os.environ, PYTHONPATH=str(Path(cd.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cycledec.cli", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: line 1: n=1000000000000 exceeds the vertex budget {cd.multigraph.MAX_VERTICES}\n"
+        )
 
 
 class TestDecompose:

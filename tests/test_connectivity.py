@@ -3,7 +3,7 @@ from hypothesis import given
 
 import cycledec as cd
 from conftest import built_graphs, eulerian_graphs, multigraphs
-from helpers import canon, mk_bowtie, mk_k5, naive_bridges, naive_cut_vertices
+from helpers import canon, mk_bowtie, mk_k5, naive_bridges, naive_components, naive_cut_vertices
 
 
 class TestComponents:
@@ -55,6 +55,16 @@ class TestBridgesAndCuts:
         assert cd.is_two_edge_connected(cd.gen_cycle(3))
         assert not cd.is_two_edge_connected(cd.MultiGraph(2, [(0, 1)]))
         assert cd.is_two_edge_connected(cd.gen_eulerian_multiedge(1))
+
+    @given(multigraphs(max_n=7, max_m=12))
+    def test_connectivity_predicates_match_naive(self, g):
+        """The component count of the lowpoint DFS, on graphs that may be
+        disconnected or have isolated vertices."""
+        comps = naive_components(g)
+        connected = len(comps) == 1
+        assert cd.connected_components(g) == comps
+        assert cd.is_biconnected(g) == (connected and not naive_cut_vertices(g))
+        assert cd.is_two_edge_connected(g) == (connected and not naive_bridges(g))
 
 
 class TestBlocks:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,6 +148,39 @@ class TestBoundedDegreeFamily:
 
     def test_deterministic(self):
         assert cd.gen_class_H_prime(25, 4) == cd.gen_class_H_prime(25, 4)
+
+
+class TestFrozenOutput:
+    """Digests of generator output over a fixed (n, seed) grid. They pin
+    every generated graph and script bit for bit across refactors of the
+    operator core the generators build on."""
+
+    NS = (2, 3, 4, 5, 7, 10, 16, 33, 64, 200)
+    SEEDS = (0, 1, 2, 5, 17, 2024)
+
+    def digest(self, texts) -> str:
+        h = hashlib.sha256()
+        for text in texts:
+            h.update(text.encode())
+            h.update(b"==\n")
+        return h.hexdigest()
+
+    def test_class_G(self):
+        def texts():
+            for n in self.NS:
+                for seed in self.SEEDS:
+                    for leaf in (1, 3):
+                        g, script = cd.gen_class_G(n, seed, max_leaf=leaf)
+                        yield cd.write_graph(g) + "--\n" + cd.script_to_text(script)
+        assert self.digest(texts()) == "c2a75e95b593fe3813ffb2335da74856c4b4dfac57347e3ef5854eac2e47fb85"
+
+    def test_class_H(self):
+        texts = (cd.write_graph(cd.gen_class_H(n, seed)) for n in self.NS for seed in self.SEEDS)
+        assert self.digest(texts) == "6b3a80ef5ab422086b70f3d00ec33a93614811831c942075072bd70c2319b453"
+
+    def test_class_H_prime(self):
+        texts = (cd.write_graph(cd.gen_class_H_prime(n, seed)) for n in self.NS for seed in self.SEEDS)
+        assert self.digest(texts) == "a29b9196ce96554fd77e71e0e62943bdef645281050d8f3faf7370a664135151"
 
 
 class TestRandomEulerian:
