@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: check, decompose, oracle, numbers, generate, bench.
+Subcommands: check, decompose, oracle, numbers, generate.
 
 Exit codes: 0 success (and verdict true for check/decompose), 1 verdict
 false, 2 bad input, 3 resource budget exceeded.
@@ -9,12 +9,10 @@ false, 2 bad input, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-import time
 from pathlib import Path
 
-from .errors import GraphError, TooLargeError
+from .errors import GraphError, NotEulerianError, TooLargeError
 from .connectivity import BlockForest, blocks
 from .generators import (
     gen_class_G,
@@ -26,7 +24,7 @@ from .generators import (
     gen_random_eulerian,
     script_to_text,
 )
-from .multigraph import MultiGraph, is_eulerian_multiedge, parse_graph, write_graph
+from .multigraph import MultiGraph, is_eulerian, is_eulerian_multiedge, parse_graph, write_graph
 from .oracle import DEFAULT_EDGE_LIMIT, has_triple_intersecting_cycle_pair, oracle_cycle_numbers
 from .recognition import (
     cycle_numbers_via_decomposition,
@@ -70,6 +68,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = _load(args.graph)
+    if not is_eulerian(g):
+        raise NotEulerianError("uniqueness is defined for connected even graphs")
     lines = [f"GRAPH {g.n} {g.m}"]
     forest = blocks(g)
     unique = True
@@ -176,33 +176,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    if not sizes:
-        raise GraphError("no sizes given")
-    rows = []
-    for i, n in enumerate(sizes):
-        g, _ = gen_class_G(n, args.seed + i, max_leaf=args.density)
-        t0 = time.perf_counter()
-        verdict = is_cycle_number_unique(g)
-        dt = time.perf_counter() - t0
-        rows.append((n, g.m, dt))
-        word = "unique" if verdict.unique else "nonunique"
-        print(f"n={n} m={g.m} seconds={dt:.4f} verdict={word}")
-    if len(rows) >= 2:
-        xs = [math.log(r[0]) for r in rows]
-        ys = [math.log(max(r[2], 1e-9)) for r in rows]
-        mx = sum(xs) / len(xs)
-        my = sum(ys) / len(ys)
-        sxx = sum((x - mx) ** 2 for x in xs)
-        sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-        print(f"slope={sxy / sxx:.3f}")
-    if args.csv_out is not None:
-        text = "n,m,seconds\n" + "".join(f"{n},{m},{dt:.6f}\n" for n, m, dt in rows)
-        Path(args.csv_out).write_text(text, encoding="utf-8")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="cycledec",
@@ -251,14 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", metavar="DIR")
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("bench", help="time recognition across sizes")
-    p.add_argument("--sizes", default="1000,2000,4000,8000,16000")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=int, default=3,
-                   help="parallel pairs per construction leaf")
-    p.add_argument("--csv-out", default=None, metavar="FILE")
-    p.set_defaults(fn=cmd_bench)
-
     return root
 
 
@@ -266,15 +231,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except TooLargeError as exc:
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, TooLargeError) else 2
 
 
 if __name__ == "__main__":

@@ -284,7 +284,7 @@ class EdgeSeparationRecord:
 
     pair1 = (a1, c1) is the new edge f1 inside the side listed in `side`
     (where a1 comes from e1 and c1 from e2); pair2 = (b1, c2) is f2 in the
-    other side. edge_map sends surviving input edge ids to result ids.
+    other side.
     """
 
     e1: int
@@ -294,7 +294,6 @@ class EdgeSeparationRecord:
     pair1: tuple[int, int]
     pair2: tuple[int, int]
     side: tuple[int, ...]
-    edge_map: tuple[Optional[int], ...]
 
     def trace_line(self) -> str:
         return f"E2 {self.e1} {self.e2} -> {self.f1} {self.f2}"
@@ -322,13 +321,7 @@ def edge_separation_step(g: MultiGraph, cut: tuple[int, int]) -> tuple[MultiGrap
     if side[a2] == side[b2]:
         raise NotATwoCutError("second edge does not cross the cut")
     c1, c2 = (a2, b2) if side[a2] else (b2, a2)
-    edges = []
-    edge_map: list[Optional[int]] = [None] * g.m
-    for f in range(g.m):
-        if f in (e1, e2):
-            continue
-        edge_map[f] = len(edges)
-        edges.append(g.endpoints(f))
+    edges = [g.endpoints(f) for f in range(g.m) if f not in (e1, e2)]
     f1 = len(edges)
     edges.append((a1, c1))
     f2 = f1 + 1
@@ -337,6 +330,5 @@ def edge_separation_step(g: MultiGraph, cut: tuple[int, int]) -> tuple[MultiGrap
         e1=e1, e2=e2, f1=f1, f2=f2,
         pair1=(a1, c1), pair2=(b1, c2),
         side=tuple(compress(range(g.n), side)),
-        edge_map=tuple(edge_map),
     )
     return MultiGraph(g.n, edges), rec

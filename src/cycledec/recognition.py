@@ -30,7 +30,7 @@ from .errors import (
     NotEulerianError,
     OddDegreeError,
 )
-from .connectivity import blocks, is_biconnected
+from .connectivity import Block, blocks, is_biconnected
 from .multigraph import MultiGraph, degree, is_eulerian, is_eulerian_multiedge
 from .operators import VeStep
 from .oracle import DEFAULT_EDGE_LIMIT, is_treewidth_at_most_2, oracle_cycle_numbers
@@ -38,20 +38,17 @@ from .rng import Rng
 
 
 @dataclass(frozen=True)
-class TraceComponent:
-    """A final component with its working-space vertex and edge ids."""
-
-    graph: MultiGraph
-    vertex_ids: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DecompositionTrace:
+    """Steps of one worklist run and the final components it left.
+
+    Each final component is a block of the final graph, recorded with its
+    working-space vertex and edge ids.
+    """
+
     input_n: int
     input_m: int
     steps: tuple[VeStep, ...]
-    components: tuple[TraceComponent, ...]
+    components: tuple[Block, ...]
     final_edge_ids: tuple[int, ...]
 
     @property
@@ -259,37 +256,33 @@ def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[Mult
     work = _WorkGraph(g)
     steps: list[VeStep] = []
     if order_seed is None:
-        queue = deque(range(g.n))
-        while queue:
-            v = queue.popleft()
-            probe = _probe(work, v)
-            if probe is None:
-                continue
-            step = _apply(work, v, probe)
-            steps.append(step)
-            queue.append(step.v1)
-            queue.append(step.v2)
+        pool = deque(range(g.n))
+        pop = pool.popleft
     else:
         rng = Rng(order_seed)
         pool = list(range(g.n))
-        while pool:
+
+        def pop() -> int:
             i = rng.below(len(pool))
             pool[i], pool[-1] = pool[-1], pool[i]
-            v = pool.pop()
-            probe = _probe(work, v)
-            if probe is None:
-                continue
-            step = _apply(work, v, probe)
-            steps.append(step)
-            pool.append(step.v1)
-            pool.append(step.v2)
+            return pool.pop()
+
+    while pool:
+        v = pop()
+        probe = _probe(work, v)
+        if probe is None:
+            continue
+        step = _apply(work, v, probe)
+        steps.append(step)
+        pool.append(step.v1)
+        pool.append(step.v2)
 
     endpoints = work.endpoints
     alive = tuple(e for e, ep in enumerate(endpoints) if ep is not None)
     final = MultiGraph(len(work.adj), [endpoints[e] for e in alive])
 
     seen = bytearray(len(work.adj))
-    components: list[TraceComponent] = []
+    components: list[Block] = []
     for r in range(len(work.adj)):
         if seen[r]:
             continue
@@ -310,7 +303,7 @@ def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[Mult
             len(comp),
             [(local[endpoints[e][0]], local[endpoints[e][1]]) for e in eids],
         )
-        components.append(TraceComponent(cgraph, tuple(comp), tuple(eids)))
+        components.append(Block(cgraph, tuple(comp), tuple(eids)))
 
     trace = DecompositionTrace(
         input_n=g.n,

@@ -85,6 +85,15 @@ class TestCheck:
         assert main(["check", path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "decompose", "numbers", "oracle"])
+    def test_invalid_utf8_file_is_a_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"p 2 2\n\xff 0 1\ne 0 1\n")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/x.graph"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -131,6 +140,18 @@ class TestDecompose:
         assert len(comps) == 4
         assert all(l.endswith("multiedge=yes") for l in comps)
         assert out[-1] == "VERDICT unique"
+
+    @pytest.mark.parametrize("graph", [
+        cd.MultiGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        cd.MultiGraph(2, [(0, 1)]),
+    ], ids=["two-triangles", "odd-degree"])
+    def test_non_eulerian_is_a_usage_error(self, tmp_path, capsys, graph):
+        path = write_graph_file(tmp_path, "bad.graph", graph)
+        for command in ("decompose", "check", "numbers"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "defined for connected even graphs" in captured.err
 
     def test_nonunique_verdict_and_exit(self, necklace3_file, capsys):
         assert main(["decompose", necklace3_file]) == 1
@@ -245,18 +266,3 @@ class TestGenerate:
         assert main(["generate", "multiedge", "--out", str(tmp_path)]) == 2
         assert main(["generate", "multiedge", "2", "7", "--out", str(tmp_path)]) == 2
         capsys.readouterr()
-
-
-class TestBench:
-    def test_small_run(self, tmp_path, capsys):
-        csv_path = tmp_path / "times.csv"
-        assert main(["bench", "--sizes", "200,400", "--density", "2",
-                     "--csv-out", str(csv_path)]) == 0
-        out = capsys.readouterr().out.splitlines()
-        rows = [l for l in out if l.startswith("n=")]
-        assert len(rows) == 2
-        assert all("seconds=" in l and "verdict=" in l for l in rows)
-        assert out[-1].startswith("slope=")
-        csv = csv_path.read_text().splitlines()
-        assert csv[0] == "n,m,seconds"
-        assert len(csv) == 3

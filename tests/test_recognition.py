@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 
 import cycledec as cd
+from cycledec.cli import main
 from conftest import built_graphs, eulerian_graphs
 from helpers import canon, mk_bowtie, mk_k5
 
@@ -144,6 +147,55 @@ class TestWorklist:
                 f2, t2 = cd.ve_components(block.graph)
                 assert f1 == f2
                 assert t1 == t2
+
+
+class TestFrozenTraces:
+    """Digests of `decompose` output for every generator family over a fixed
+    (n, seed) grid, in FIFO order and under three order seeds. They pin every
+    step id of the worklist, for each way it picks vertices, across
+    refactors of its loop."""
+
+    NS = (2, 3, 4, 5, 7, 10, 16, 33, 64, 128)
+    SEEDS = (0, 1, 2, 5)
+    DIGESTS = {
+        None: "3bd19b320dd56a2ca0265cf4a9efc4115f5430d3a70ad2c0f1f590effbbe5505",
+        0: "5470d0033dfbbdb5be9d414c60385cd9c7a378eb142c039bea46b2b918a956e3",
+        5: "f2ace7f486ea0325759bebec2ef4c6649dfa3afb4b2851607760cc67be19efe7",
+        17: "8220a236b3dae8da2d455bfeea73e7547478d8ebb33b5ef324ed5a5d9150ede6",
+    }
+
+    def graphs(self):
+        for n in self.NS:
+            yield cd.gen_eulerian_multiedge(n)
+            yield cd.gen_cycle(n)
+            yield cd.gen_closed_necklace(n)
+            for seed in self.SEEDS:
+                yield cd.gen_class_G(n, seed)[0]
+                yield cd.gen_class_H(n, seed)
+                yield cd.gen_class_H_prime(n, seed)
+                yield cd.gen_random_eulerian(n, n // 4, seed)
+
+    @pytest.mark.parametrize("order", list(DIGESTS))
+    def test_decompose_text(self, tmp_path, order):
+        graph_path = tmp_path / "g.graph"
+        trace_path = tmp_path / "g.trace"
+        order_args = [] if order is None else ["--randomized-order", str(order)]
+        h = hashlib.sha256()
+        for g in self.graphs():
+            graph_path.write_text(cd.write_graph(g))
+            code = main(["decompose", "--trace-out", str(trace_path), *order_args, str(graph_path)])
+            h.update(f"{code}\n".encode())
+            h.update(trace_path.read_bytes())
+            for block in cd.blocks(g).blocks:
+                if block.graph.m == 0:
+                    continue
+                final, trace = cd.ve_components(block.graph, order_seed=order)
+                # every final component is block i of the final graph, in working-space ids
+                assert trace.components == tuple(
+                    cd.Block(b.graph, b.vertex_ids, tuple(trace.final_edge_ids[e] for e in b.edge_ids))
+                    for b in cd.blocks(final).blocks
+                )
+        assert h.hexdigest() == self.DIGESTS[order]
 
 
 class TestReplay:
