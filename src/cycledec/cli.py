@@ -9,6 +9,7 @@ false, 2 bad input, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -176,6 +177,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="cycledec",

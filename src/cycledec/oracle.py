@@ -39,39 +39,57 @@ def _too_deep(what: str) -> TooLargeError:
     return TooLargeError(f"{what} deeper than {MAX_SEARCH_DEPTH} levels; the graph is too large for exhaustive search")
 
 
-def _simple_cycles_through(g: MultiGraph, rem: int, e0: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """All simple cycles through edge e0 using only edges whose bit is set in rem.
+def _incidence(g: MultiGraph) -> list[list[tuple[int, int, int, int]]]:
+    """Per vertex, (edge bit, other end, other end's bit, edge id) for every
+    incident edge, in ascending edge id order."""
+    inc: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges()):
+        bit = 1 << e
+        inc[u].append((bit, v, 1 << v, e))
+        inc[v].append((bit, u, 1 << u, e))
+    return inc
 
-    Returns (edge mask, steps) pairs; steps walk the cycle starting at e0's
-    first stored endpoint. Each cycle appears exactly once because vertices
-    never repeat and the start edge is fixed.
+
+def _cycles_through(inc: list, rem: int, e0: int, a: int, b: int) -> list[tuple[int, int]]:
+    """All simple cycles through edge e0 = ab using only edges whose bit is set in rem.
+
+    Returns (edge mask, vertex mask) pairs in walk order: depth first from
+    b, edges in ascending id order at every vertex. Each cycle appears
+    exactly once because vertices never repeat and the start edge is fixed.
     """
-    a, b = g.endpoints(e0)
-    out: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    seen = {a, b}
-    steps: list[tuple[int, int]] = [(a, e0)]
+    out: list[tuple[int, int]] = []
     cap = MAX_SEARCH_DEPTH
 
-    def walk(x: int, mask: int) -> None:
-        for e in g.incident(x):
-            if not (rem >> e) & 1 or (mask >> e) & 1:
+    def walk(x: int, avail: int, seen: int, depth: int) -> None:
+        # avail: edges of rem not on the path yet, so rem ^ avail is the path
+        for bit, w, wbit, _ in inc[x]:
+            if not avail & bit:
                 continue
-            w = g.other(e, x)
             if w == a:
-                out.append((mask | (1 << e), tuple(steps) + ((x, e),)))
+                out.append((rem ^ avail ^ bit, seen))
                 continue
-            if w in seen:
+            if seen & wbit:
                 continue
-            if len(steps) >= cap:
+            if depth >= cap:
                 raise _too_deep("cycle walk")
-            seen.add(w)
-            steps.append((x, e))
-            walk(w, mask | (1 << e))
-            steps.pop()
-            seen.discard(w)
+            walk(w, avail ^ bit, seen | wbit, depth + 1)
 
-    walk(b, 1 << e0)
+    walk(b, rem & ~(1 << e0), (1 << a) | (1 << b), 1)
     return out
+
+
+def _cycle(g: MultiGraph, inc: list, e0: int, mask: int) -> Cycle:
+    """The cycle with edge mask `mask`, walked from e0's first stored endpoint."""
+    a, x = g.endpoints(e0)
+    steps = [(a, e0)]
+    prev = e0
+    while x != a:
+        for bit, w, _, e in inc[x]:
+            if mask & bit and e != prev:
+                steps.append((x, e))
+                prev, x = e, w
+                break
+    return Cycle(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -88,47 +106,80 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
     Memoized over subsets of the edge set, branching on the cycle through
     the lowest remaining edge id; any graph whose edge set is a disjoint
     union of cycles (in particular every connected even graph) decomposes,
-    so the search never dead-ends. Exponential in m, hence the budget.
+    so the search never dead-ends. Exponential in m, hence the budget. The
+    memo keeps each subset's chosen cycles, and both witnesses are unwound
+    from it once the search is done.
     """
     if g.m > edge_limit:
         raise TooLargeError(f"m={g.m} exceeds the edge budget {edge_limit}")
     if not is_eulerian(g):
         raise NotEulerianError("cycle numbers are defined for connected even graphs")
-    empty = CycleDecomposition(())
     if g.m == 0:
+        empty = CycleDecomposition(())
         return OracleResult(0, 0, empty, empty)
 
-    memo: dict[int, tuple[int, int, tuple[Cycle, ...], tuple[Cycle, ...]]] = {}
+    inc = _incidence(g)
+    ends = tuple(g.edges())
+    # rem -> (c, nu, cycle mask of the minimum branch, of the maximum branch)
+    memo: dict[int, tuple[int, int, int, int]] = {}
 
-    def solve(rem: int, depth: int) -> tuple[int, int, tuple[Cycle, ...], tuple[Cycle, ...]]:
-        if rem == 0:
-            return 0, 0, (), ()
+    def solve(rem: int, depth: int) -> tuple[int, int, int, int]:
         hit = memo.get(rem)
         if hit is not None:
             return hit
         if depth >= MAX_SEARCH_DEPTH:
             raise _too_deep("subset search")
         e0 = (rem & -rem).bit_length() - 1
-        best: Optional[list] = None
-        for cmask, steps in _simple_cycles_through(g, rem, e0):
-            c2, n2, wmin, wmax = solve(rem & ~cmask, depth + 1)
-            cyc = Cycle(steps)
+        a, b = ends[e0]
+        best = None
+        for cmask, _ in _cycles_through(inc, rem, e0, a, b):
+            rest = rem & ~cmask
+            if rest:
+                c2, n2, _, _ = solve(rest, depth + 1)
+            else:
+                c2 = n2 = 0
             if best is None:
-                best = [1 + c2, 1 + n2, (cyc,) + wmin, (cyc,) + wmax]
+                best = [1 + c2, 1 + n2, cmask, cmask]
             else:
                 if 1 + c2 < best[0]:
                     best[0] = 1 + c2
-                    best[2] = (cyc,) + wmin
+                    best[2] = cmask
                 if 1 + n2 > best[1]:
                     best[1] = 1 + n2
-                    best[3] = (cyc,) + wmax
+                    best[3] = cmask
         assert best is not None, "even residual graph must contain a cycle"
         res = (best[0], best[1], best[2], best[3])
         memo[rem] = res
         return res
 
-    c, nu, wmin, wmax = solve((1 << g.m) - 1, 0)
-    return OracleResult(c, nu, CycleDecomposition(wmin), CycleDecomposition(wmax))
+    full = (1 << g.m) - 1
+    c, nu, _, _ = solve(full, 0)
+
+    def unwind(branch: int) -> CycleDecomposition:
+        cycles = []
+        rem = full
+        while rem:
+            cmask = memo[rem][branch]
+            cycles.append(_cycle(g, inc, (rem & -rem).bit_length() - 1, cmask))
+            rem &= ~cmask
+        return CycleDecomposition(tuple(cycles))
+
+    return OracleResult(c, nu, unwind(2), unwind(3))
+
+
+def _all_cycles(g: MultiGraph, edge_limit: int, cycle_cap: int) -> tuple[list, list[tuple[int, int, int]]]:
+    """(incidence, [(smallest edge id, edge mask, vertex mask)]) of every simple cycle."""
+    if g.m > edge_limit:
+        raise TooLargeError(f"m={g.m} exceeds the edge budget {edge_limit}")
+    inc = _incidence(g)
+    out: list[tuple[int, int, int]] = []
+    full = (1 << g.m) - 1
+    for e0, (a, b) in enumerate(g.edges()):
+        rem = full & ~((1 << e0) - 1)
+        out.extend((e0, emask, vmask) for emask, vmask in _cycles_through(inc, rem, e0, a, b))
+        if len(out) > cycle_cap:
+            raise TooLargeError(f"more than {cycle_cap} simple cycles")
+    return inc, out
 
 
 def enumerate_simple_cycles(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT,
@@ -138,17 +189,8 @@ def enumerate_simple_cycles(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT,
     Cycles are grouped by their smallest edge id, ascending; the cap guards
     against blowups on dense inputs.
     """
-    if g.m > edge_limit:
-        raise TooLargeError(f"m={g.m} exceeds the edge budget {edge_limit}")
-    out: list[Cycle] = []
-    full = (1 << g.m) - 1
-    for e0 in range(g.m):
-        rem = full & ~((1 << e0) - 1)
-        for _, steps in _simple_cycles_through(g, rem, e0):
-            out.append(Cycle(steps))
-            if len(out) > cycle_cap:
-                raise TooLargeError(f"more than {cycle_cap} simple cycles")
-    return out
+    inc, cycles = _all_cycles(g, edge_limit, cycle_cap)
+    return [_cycle(g, inc, e0, emask) for e0, emask, _ in cycles]
 
 
 def has_triple_intersecting_cycle_pair(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT,
@@ -158,21 +200,12 @@ def has_triple_intersecting_cycle_pair(g: MultiGraph, edge_limit: int = DEFAULT_
     Returns the pair, or None when no such pair exists. Pairs are scanned in
     the deterministic order of enumerate_simple_cycles.
     """
-    cycles = enumerate_simple_cycles(g, edge_limit=edge_limit, cycle_cap=cycle_cap)
-    masks = []
-    vsets = []
-    for cyc in cycles:
-        mask = 0
-        for e in cyc.edge_ids:
-            mask |= 1 << e
-        masks.append(mask)
-        vsets.append(frozenset(cyc.vertex_ids))
-    for i in range(len(cycles)):
+    inc, cycles = _all_cycles(g, edge_limit, cycle_cap)
+    for i, (e1, m1, v1) in enumerate(cycles):
         for j in range(i + 1, len(cycles)):
-            if masks[i] & masks[j]:
-                continue
-            if len(vsets[i] & vsets[j]) >= 3:
-                return cycles[i], cycles[j]
+            e2, m2, v2 = cycles[j]
+            if not m1 & m2 and (v1 & v2).bit_count() >= 3:
+                return _cycle(g, inc, e1, m1), _cycle(g, inc, e2, m2)
     return None
 
 
@@ -209,6 +242,149 @@ def is_treewidth_at_most_2(g: MultiGraph) -> bool:
                 queue.append(w)
         alive -= 1
     return alive == 0
+
+
+def series_parallel_numbers(g: MultiGraph, stop_at_split: bool = False) -> Optional[tuple[int, int]]:
+    """Exact (c, nu) of a biconnected even graph by series-parallel tables.
+
+    Returns None when g does not reduce to one edge by parallel merges and
+    series suppressions; for a biconnected graph that happens exactly when
+    its treewidth exceeds 2 (Valdes, Tarjan & Lawler 1982).
+
+    A composite edge between terminals s and t stands for the subgraph H of
+    the edges it has absorbed. H meets the rest of g only at s and t, so a
+    cycle of a decomposition of g either lies in H or meets H in one simple
+    s-t path. Its table holds, for k = p, p + 2, ..., the fewest and the
+    most cycles when E(H) splits into cycles plus k edge-disjoint s-t paths,
+    where p is the parity of H's degree at s; every such k is reachable,
+    since two paths together split into cycles. A path leaves H at both
+    ends, so a table stops at the smaller outside degree of its terminals,
+    and at H's own degree there. Entries are stored as G[k] = 2 f[k] + k:
+    - a bundle of q plain edges has G[k] = q for every k <= q;
+    - series through a vertex x that has exactly two neighbours: every path
+      runs on through x, so G[k] = G1[k] + G2[k] - k;
+    - parallel: j path pairs close into j cycles, k = k1 + k2 - 2j, and
+      G[k] is the best G1[k1] + G2[k2] over |k1 - k2| <= k <= k1 + k2.
+    Plain bundles stay integer counts, and a path of two plain edges is one
+    plain edge, so long plain paths and thetas never build a table.
+
+    With stop_at_split the reduction stops at the first composite H whose
+    first entries differ, and returns a pair with c != nu: E(H) splits
+    into cycles plus p paths in two sizes, and g - E(H), whose only odd
+    vertices are s and t when p = 1, splits into p s-t paths plus cycles;
+    each path pair closes into one cycle, so g has decompositions of two
+    sizes. Only c != nu is meaningful then.
+    """
+    n = g.n
+    deg = [0] * n
+    # nb[v][w] = (edges of the composite v-w at v, composite)
+    nb: list[dict] = [{} for _ in range(n)]
+    for u, v in g.edges():
+        deg[u] += 1
+        deg[v] += 1
+        nb[u][v] = nb[u].get(v, 0) + 1
+        nb[v][u] = nb[v].get(u, 0) + 1
+    for nv in nb:
+        for w, q in nv.items():
+            nv[w] = (q, q)
+    alive = n
+    queue = [v for v in range(n) if len(nb[v]) == 2]
+    while queue and alive > 2:
+        x = queue.pop()
+        nx = nb[x]
+        if len(nx) != 2:
+            continue
+        (a, (_, ca)), (b, (_, cb)) = nx.items()
+        na, nbb = nb[a], nb[b]
+        da = na.pop(x)[0]
+        db = nbb.pop(x)[0]
+        nx.clear()
+        alive -= 1
+        cap = min(deg[a] - da, deg[b] - db, da, db)
+        comp = _series(ca, cb, da & 1, cap)
+        old = na.get(b)
+        if old is not None:
+            da2, c2 = old
+            db2 = nbb[a][0]
+            cap2 = min(deg[a] - da2, deg[b] - db2, da2, db2)
+            par = da & 1
+            da += da2
+            db += db2
+            comp = _parallel(comp, par, cap, c2, da2 & 1, cap2, min(deg[a] - da, deg[b] - db, da, db))
+        na[b] = (da, comp)
+        nbb[a] = (db, comp)
+        if stop_at_split and type(comp) is tuple and comp[0][0] != comp[1][0]:
+            return comp[0][0] // 2, comp[1][0] // 2
+        if len(na) == 2:
+            queue.append(a)
+        if len(nbb) == 2:
+            queue.append(b)
+    if alive > 2:
+        return None
+    if g.m == 0:
+        return 0, 0
+    a = next(v for v in range(n) if nb[v])
+    (_, comp), = nb[a].values()
+    lo, hi = _rows(comp, 0, 0)
+    return lo[0] // 2, hi[0] // 2
+
+
+def _rows(comp, par: int, cap: int) -> tuple[list[int], list[int]]:
+    """(lo, hi) rows of a composite; a plain bundle gets rows up to cap."""
+    if type(comp) is int:
+        row = [comp] * ((min(comp, cap) - par) // 2 + 1)
+        return row, row
+    return comp
+
+
+def _series(c1, c2, par: int, cap: int):
+    """Join composites c1 and c2 of parity par through a suppressed vertex."""
+    if c1 == 1 and c2 == 1:
+        return 1
+    lo1, hi1 = _rows(c1, par, cap)
+    lo2, hi2 = _rows(c2, par, cap)
+    size = min(len(lo1), len(lo2), (cap - par) // 2 + 1)
+    lo = [lo1[i] + lo2[i] - par - 2 * i for i in range(size)]
+    if lo1 is hi1 and lo2 is hi2:
+        return lo, lo
+    return lo, [hi1[i] + hi2[i] - par - 2 * i for i in range(size)]
+
+
+def _parallel(c1, p1: int, cap1: int, c2, p2: int, cap2: int, cap: int):
+    """Merge composites ci of parity pi and own cap capi into one cut at cap."""
+    if type(c1) is int and type(c2) is int:
+        return c1 + c2
+    lo1, hi1 = _rows(c1, p1, cap1)
+    lo2, hi2 = _rows(c2, p2, cap2)
+    par = (p1 + p2) & 1
+    top = min(p1 + p2 + 2 * (len(lo1) + len(lo2) - 2), cap)
+    size = (top - par) // 2 + 1
+    if lo1 is hi1 and lo2 is hi2 and min(lo1) == max(lo1) and min(lo2) == max(lo2):
+        # every split has the same value: the merge is flat as well
+        row = [lo1[0] + lo2[0]] * size
+        return row, row
+    lo = [1 << 62] * size
+    hi = [-1] * size
+    for i1 in range(len(lo1)):
+        k1 = p1 + 2 * i1
+        l1 = lo1[i1]
+        h1 = hi1[i1]
+        for i2 in range(len(lo2)):
+            k2 = p2 + 2 * i2
+            first = k1 - k2 if k1 > k2 else k2 - k1
+            if first > top:
+                if k2 > k1:
+                    break
+                continue
+            last = k1 + k2 if k1 + k2 < top else top
+            s = l1 + lo2[i2]
+            t = h1 + hi2[i2]
+            for i in range((first - par) >> 1, ((last - par) >> 1) + 1):
+                if s < lo[i]:
+                    lo[i] = s
+                if t > hi[i]:
+                    hi[i] = t
+    return lo, hi
 
 
 def is_class_H(g: MultiGraph) -> bool:

@@ -10,10 +10,11 @@ needs no global restarts and finishes in at most n - 2 steps per block.
 The mutable working graph keeps every vertex id ever created and never
 reuses edge ids, which makes traces exactly replayable.
 
-The yes/no verdict takes a shorter route that builds no trace: a treewidth
-gate, series reduction and a simple-edge prefilter settle most blocks, and
-only what is left runs the worklist. Witnesses come from the worklist,
-built when first asked for.
+The yes/no verdict and the numbers take a shorter route that builds no
+trace: the series-parallel tables of oracle.series_parallel_numbers answer
+every block of treewidth at most 2, and a block of larger treewidth is not
+unique. Witnesses come from the worklist, built when first asked for; the
+numbers of a block of larger treewidth come from its worklist components.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 from .connectivity import Block, blocks, is_biconnected
 from .multigraph import MultiGraph, degree, is_eulerian, is_eulerian_multiedge
 from .operators import VeStep
-from .oracle import DEFAULT_EDGE_LIMIT, is_treewidth_at_most_2, oracle_cycle_numbers
+from .oracle import DEFAULT_EDGE_LIMIT, oracle_cycle_numbers, series_parallel_numbers
 from .rng import Rng
 
 
@@ -98,9 +99,13 @@ class _WorkGraph:
     """Append-only adjacency: adj[v] maps edge id to the other endpoint.
 
     Deleted edges keep their slot in `endpoints` as None so ids stay stable.
+    `final` is set when every edge of the input has a parallel copy: the
+    edge of a vertex-edge separator is a bridge of the graph minus a
+    vertex, and a parallel copy survives that deletion, so no probe can
+    hit and the graph stays as it is.
     """
 
-    __slots__ = ("adj", "endpoints")
+    __slots__ = ("adj", "endpoints", "final")
 
     def __init__(self, g: MultiGraph) -> None:
         self.adj: list[dict[int, int]] = [{} for _ in range(g.n)]
@@ -110,6 +115,8 @@ class _WorkGraph:
             self.adj[u][e] = v
             self.adj[v][e] = u
             self.endpoints.append((u, v))
+        pairs = Counter((u, v) if u < v else (v, u) for u, v in self.endpoints)
+        self.final = 1 not in pairs.values()
 
 
 def _component_bridges(adj: list[dict[int, int]], skip: int, root: int):
@@ -159,12 +166,13 @@ def _component_bridges(adj: list[dict[int, int]], skip: int, root: int):
 def _probe(work: _WorkGraph, v: int):
     """Smallest-id bridge of (component of v) minus v, with DFS intervals.
 
-    Returns None when v's neighbourhood leaves nothing behind or the
-    punctured component has no bridge. The DFS root is v's smallest
-    neighbour; the bridge set does not depend on that choice.
+    Returns None when v's neighbourhood leaves nothing behind, the graph
+    is final as it stands, or the punctured component has no bridge. The
+    DFS root is v's smallest neighbour; the bridge set does not depend on
+    that choice.
     """
     adjv = work.adj[v]
-    if not adjv:
+    if not adjv or work.final:
         return None
     root = min(adjv.values())
     if root == v:
@@ -340,56 +348,18 @@ def replay_trace(trace: DecompositionTrace) -> MultiGraph:
     return MultiGraph(trace.input_n, [endpoints[e] for e in range(trace.input_m)])
 
 
-def series_reduction(g: MultiGraph) -> MultiGraph:
-    """Suppress every degree-2 vertex whose two edges lead to distinct neighbours.
-
-    Every cycle through such a vertex uses both of its edges, so the
-    minimum and maximum decomposition sizes do not change. Suppression
-    keeps every other degree, so one sweep over the vertices finds all of
-    them in O(n + m); a vertex whose edges both lead to one neighbour stays.
-    Survivors keep their relative order and get dense ids; edges come
-    grouped by endpoint pair.
-    """
-    adj: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
-    for u, v in g.edges():
-        adj[u][v] = adj[u].get(v, 0) + 1
-        adj[v][u] = adj[v].get(u, 0) + 1
-    for x in range(g.n):
-        nbrs = adj[x]
-        if len(nbrs) != 2 or sum(nbrs.values()) != 2:
-            continue
-        a, b = nbrs
-        del adj[a][x], adj[b][x], adj[x]
-        adj[a][b] = adj[a].get(b, 0) + 1
-        adj[b][a] = adj[b].get(a, 0) + 1
-    local = {v: i for i, v in enumerate(adj)}
-    edges = [(local[u], local[w]) for u, nbrs in adj.items() for w, k in nbrs.items() if u < w for _ in range(k)]
-    return MultiGraph(len(local), edges)
-
-
 def _block_is_unique(h: MultiGraph) -> bool:
     """Verdict of one biconnected even block with at least one edge.
 
-    Four stages, each keeping the worklist's answer: a unique graph has
-    treewidth at most 2; series reduction keeps both decomposition numbers
-    and leaves an even multiedge when only two vertices remain; the edge of
-    a vertex-edge separator is a bridge of the graph minus a vertex, so a
-    reduced block whose edges all have parallel copies is already final and
-    not a multiedge; whatever is left runs the worklist. A two-vertex block
-    is an even multiedge already and skips the stages.
+    A unique graph has treewidth at most 2, so a block that the
+    series-parallel tables cannot reduce is not unique; otherwise the
+    tables decide, and stop at the first part that already has two sizes.
+    A two-vertex block is an even multiedge and unique.
     """
     if h.n == 2:
         return True
-    if not is_treewidth_at_most_2(h):
-        return False
-    reduced = series_reduction(h)
-    if reduced.n == 2:
-        return True
-    pairs = Counter((u, v) if u < v else (v, u) for u, v in reduced.edges())
-    if 1 not in pairs.values():
-        return False
-    _, trace = ve_components(reduced)
-    return all(is_eulerian_multiedge(c.graph) for c in trace.components)
+    numbers = series_parallel_numbers(h, stop_at_split=True)
+    return numbers is not None and numbers[0] == numbers[1]
 
 
 def is_cycle_number_unique_biconnected(g: MultiGraph, order_seed: Optional[int] = None) -> RecognitionVerdict:
@@ -434,38 +404,42 @@ def is_cycle_number_unique(g: MultiGraph, order_seed: Optional[int] = None,
 
 def cycle_numbers_via_decomposition(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT,
                                     order_seed: Optional[int] = None) -> tuple[int, int]:
-    """(min, max) decomposition sizes through blocks and separations.
+    """(min, max) decomposition sizes, block by block.
 
-    Per block, k separation steps turn one graph into k + 1 components and
-    each step costs exactly one cycle in both extremes, so the block numbers
-    are the component sums minus k; block values add up along cut vertices.
-    Eulerian multiedge components contribute m/2 directly, everything else
-    goes to the exhaustive engine under the edge budget.
+    Block values add up along cut vertices. The series-parallel tables
+    answer every block of treewidth at most 2. A block of larger treewidth
+    runs the separation worklist in the given order: k steps turn it into
+    k + 1 components and each step costs exactly one cycle in both
+    extremes, so its numbers are the component sums minus k. Each component
+    goes to the tables first and, if they cannot reduce it, to the
+    exhaustive engine under the edge budget.
     """
     if not is_eulerian(g):
         raise NotEulerianError("cycle numbers are defined for connected even graphs")
     c_total = 0
     nu_total = 0
     for block in blocks(g).blocks:
-        if block.graph.m == 0:
+        h = block.graph
+        if h.m == 0:
             continue
-        _, trace = ve_components(block.graph, order_seed=order_seed)
-        k = len(trace.steps)
-        c_block = 0
-        nu_block = 0
-        for comp in trace.components:
-            cg = comp.graph
-            if is_eulerian_multiedge(cg):
-                c_block += cg.m // 2
-                nu_block += cg.m // 2
-            elif cg.m > edge_limit:
-                raise ComponentTooLargeError(
-                    f"final component with n={cg.n} m={cg.m} exceeds the edge budget {edge_limit}"
-                )
-            else:
-                res = oracle_cycle_numbers(cg, edge_limit=edge_limit)
-                c_block += res.c_min
-                nu_block += res.nu_max
-        c_total += c_block - k
-        nu_total += nu_block - k
+        numbers = series_parallel_numbers(h)
+        if numbers is None:
+            _, trace = ve_components(h, order_seed=order_seed)
+            parts = [_component_numbers(comp.graph, edge_limit) for comp in trace.components]
+            k = len(trace.steps)
+            numbers = (sum(c for c, _ in parts) - k, sum(nu for _, nu in parts) - k)
+        c_total += numbers[0]
+        nu_total += numbers[1]
     return c_total, nu_total
+
+
+def _component_numbers(cg: MultiGraph, edge_limit: int) -> tuple[int, int]:
+    numbers = series_parallel_numbers(cg)
+    if numbers is not None:
+        return numbers
+    if cg.m > edge_limit:
+        raise ComponentTooLargeError(
+            f"final component with n={cg.n} m={cg.m} exceeds the edge budget {edge_limit}"
+        )
+    res = oracle_cycle_numbers(cg, edge_limit=edge_limit)
+    return res.c_min, res.nu_max

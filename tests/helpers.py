@@ -177,3 +177,54 @@ def small_eulerian_corpus(count: int, max_m: int = 16, max_n: int = 10) -> list[
         if g.n <= max_n and g.m <= max_m:
             out.append(g)
     return out
+
+
+def script_numbers(script) -> tuple[int, int]:
+    """(c, nu) of a construction script's graph by the operator arithmetic:
+    M k -> (k, k), N k -> (2, k), C k -> (1, 1); V adds, E and X add and
+    subtract one, D keeps."""
+    stack: list[tuple[int, int]] = []
+    for ins in script:
+        op = ins[0]
+        if op == "M":
+            stack.append((ins[1], ins[1]))
+        elif op == "N":
+            stack.append((2, ins[1]))
+        elif op == "C":
+            stack.append((1, 1))
+        elif op != "D":
+            c2, n2 = stack.pop()
+            c1, n1 = stack.pop()
+            drop = 0 if op == "V" else 1
+            stack.append((c1 + c2 - drop, n1 + n2 - drop))
+    (numbers,) = stack
+    return numbers
+
+
+def worklist_cycle_numbers(g: cd.MultiGraph, edge_limit: int = cd.DEFAULT_EDGE_LIMIT,
+                           order_seed=None) -> tuple[int, int]:
+    """(c, nu) through the separation worklist alone, as numbers computed it
+    before the series-parallel tables: per block, k steps leave k + 1 final
+    components and each step costs one cycle in both extremes; an Eulerian
+    multiedge component gives m/2 and every other one goes to the oracle."""
+    c_total = nu_total = 0
+    for block in cd.blocks(g).blocks:
+        if block.graph.m == 0:
+            continue
+        _, trace = cd.ve_components(block.graph, order_seed=order_seed)
+        k = len(trace.steps)
+        c_block = nu_block = 0
+        for comp in trace.components:
+            cg = comp.graph
+            if cd.is_eulerian_multiedge(cg):
+                c_block += cg.m // 2
+                nu_block += cg.m // 2
+            elif cg.m > edge_limit:
+                raise cd.ComponentTooLargeError(f"final component with m={cg.m} exceeds {edge_limit}")
+            else:
+                res = cd.oracle_cycle_numbers(cg, edge_limit=edge_limit)
+                c_block += res.c_min
+                nu_block += res.nu_max
+        c_total += c_block - k
+        nu_total += nu_block - k
+    return c_total, nu_total

@@ -18,6 +18,7 @@ from helpers import (
     mixed_small_eulerian,
     mk_k5,
     small_eulerian_corpus,
+    worklist_cycle_numbers,
 )
 
 CORPUS_SIZE = 5000
@@ -229,3 +230,15 @@ def test_criterion_8_order_invariance(corpus, tmp_path_factory, capsys):
     assert checked == 100
     with capsys.disabled():
         print(f"criterion 8: PASS ({checked} instances x 50 order seeds, all stable)")
+
+
+def test_criterion_8_worklist_reference(corpus):
+    # numbers skips the worklist on blocks of treewidth <= 2, so criterion 8's
+    # CLI runs rarely reach it; the worklist route itself must give the same
+    # numbers under every order seed on the same graphs
+    instances = corpus[:100]
+    for g in instances:
+        want = cd.cycle_numbers_via_decomposition(g)
+        for seed in range(50):
+            assert worklist_cycle_numbers(g, order_seed=seed) == want
+    print(f"criterion 8, worklist route: PASS ({len(instances)} instances x 50 order seeds)")

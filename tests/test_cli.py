@@ -230,6 +230,34 @@ class TestNumbersCmd:
         assert main(["numbers", "--edge-limit", "5", path]) == 3
 
 
+class TestRepeatedCalls:
+    def test_calls_in_one_process_print_what_each_prints_alone(self, tmp_path, capsys):
+        # one parser serves every call; a flag of one call must not leak into the next
+        from cycledec import cli
+        assert cli._build_parser() is cli._build_parser()
+        bad, _ = cd.edge_identification(cd.MultiGraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
+                                        0, 0, cd.gen_cycle(6), 0, 0)
+        path = write_graph_file(tmp_path, "bad.graph", bad)
+        calls = [
+            ["numbers", "--randomized-order", "5", path],
+            ["numbers", path],
+            ["check", "--witness", "--randomized-order", "3", path],
+            ["check", path],
+            ["check", "--per-component", path],
+            ["decompose", "--randomized-order", "17", path],
+            ["decompose", path],
+            ["oracle", "--edge-limit", "30", path],
+            ["numbers", "--edge-limit", "5", path],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cd.__file__).parents[1]))
+        for argv in calls:
+            alone = subprocess.run([sys.executable, "-m", "cycledec.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr), argv
+
+
 class TestGenerate:
     def test_writes_instances_and_manifest(self, tmp_path, capsys):
         assert main(["generate", "classG", "12", "--seed", "3", "--count", "2",

@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 
 import cycledec as cd
 from conftest import eulerian_graphs
-from helpers import brute_tw_le_2, check_cycle, mk_bowtie, mk_k4, mk_k5
+from helpers import brute_tw_le_2, check_cycle, mk_bowtie, mk_k4, mk_k5, small_eulerian_corpus
 
 
 class TestCycleNumbers:
@@ -192,3 +194,22 @@ class TestNecklaceDecomposition:
             for cut_seed in (1, 2, 3):
                 alt = sorted(l.graph.n for l in cd.decompose_class_H(g, cut_seed=cut_seed).leaves())
                 assert alt == base, (seed, cut_seed, base, alt)
+
+
+class TestFrozenSearch:
+    """One digest of the exhaustive engines' full output, witnesses and walk
+    order included, over 405 small graphs. It pins the enumeration order and
+    the first-strict-improvement tie-break across rewrites of the search."""
+
+    DIGEST = "8debe3e9bacae11fb1483338c59c6dcfc0cd28f85f5d38314ac20b4d5b0b210e"
+
+    def test_witnesses_pairs_and_cycles(self):
+        graphs = small_eulerian_corpus(400, max_m=20, max_n=12) + [cd.gen_class_H(n, 40 + n) for n in range(2, 7)]
+        h = hashlib.sha256()
+        for g in graphs:
+            res = cd.oracle_cycle_numbers(g)
+            pair = cd.has_triple_intersecting_cycle_pair(g)
+            cycles = cd.enumerate_simple_cycles(g)
+            h.update(repr((res.c_min, res.nu_max, res.min_witness.cycles, res.max_witness.cycles,
+                           pair and (pair[0].steps, pair[1].steps), [c.steps for c in cycles])).encode())
+        assert h.hexdigest() == self.DIGEST

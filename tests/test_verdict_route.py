@@ -2,9 +2,9 @@
 
 The reference verdict of a block is "every final component of
 ve_components(block) is an Eulerian multiedge". The route decides blocks
-through a treewidth gate, series reduction and a simple-edge prefilter
-before it falls back to the worklist, so each shortcut is tied here to the
-path it replaces.
+with the series-parallel tables alone, so it is tied here to that
+reference. ve_components itself skips its loop on a block without a
+simple edge, and that shortcut is tied here to the loop it skips.
 """
 
 from collections import Counter
@@ -12,9 +12,10 @@ from collections import Counter
 from hypothesis import given
 
 import cycledec as cd
+from cycledec import recognition
 from cycledec.cli import main
 from conftest import eulerian_graphs, multigraphs
-from helpers import canon, mk_k5, small_eulerian_corpus
+from helpers import mk_k5, small_eulerian_corpus
 
 
 def reference_block_verdicts(g, order_seed=None):
@@ -90,23 +91,46 @@ class TestDifferential:
                 assert_route_matches(g, order_seed=seed)
 
 
+def assert_final_as_it_stands(h):
+    """A full probe finds no bridge at any vertex of h, so the shortcut that
+    answers every probe at once keeps ve_components' trace: h is its only
+    component, in any order."""
+    work = recognition._WorkGraph(h)
+    assert work.final
+    work.final = False
+    for v in range(h.n):
+        assert recognition._probe(work, v) is None
+    for seed in (None, 5):
+        final, trace = cd.ve_components(h, order_seed=seed)
+        assert final == h and trace.steps == ()
+        (comp,) = trace.components
+        assert comp.graph == h
+        assert comp.vertex_ids == tuple(range(h.n)) and comp.edge_ids == tuple(range(h.m))
+
+
 class TestShortcutSoundness:
     @given(eulerian_graphs(max_n=9, max_extra=2))
-    def test_series_reduction_keeps_the_numbers(self, g):
+    def test_tables_keep_the_numbers(self, g):
         if g.m > 14:
             return
-        r = cd.series_reduction(g)
-        assert cd.is_eulerian(r)
-        for v in range(r.n):
-            if cd.degree(r, v) == 2:
-                assert len(cd.neighbours(r, v)) == 1
-        a, b = cd.oracle_cycle_numbers(g), cd.oracle_cycle_numbers(r)
-        assert (a.c_min, a.nu_max) == (b.c_min, b.nu_max)
+        for block in cd.blocks(g).blocks:
+            h = block.graph
+            if h.m == 0:
+                continue
+            numbers = cd.series_parallel_numbers(h)
+            assert (numbers is None) == (not cd.is_treewidth_at_most_2(h))
+            if numbers is not None:
+                res = cd.oracle_cycle_numbers(h)
+                assert numbers == (res.c_min, res.nu_max)
 
-    def test_series_reduction_named_instances(self):
-        assert cd.series_reduction(cd.gen_cycle(9)) == cd.MultiGraph(2, [(0, 1), (0, 1)])
-        assert canon(cd.series_reduction(cd.gen_closed_necklace(4))) == canon(cd.gen_closed_necklace(4))
-        assert canon(cd.series_reduction(mk_k5())) == canon(mk_k5())
+    def test_tables_named_instances(self):
+        assert cd.series_parallel_numbers(cd.gen_cycle(9)) == (1, 1)
+        assert cd.series_parallel_numbers(cd.gen_closed_necklace(4)) == (2, 4)
+        assert cd.series_parallel_numbers(mk_k5()) is None
+        # the first split stops the reduction: a doubled triangle inside
+        # a long doubled cycle already has two sizes
+        early = cd.series_parallel_numbers(cd.gen_closed_necklace(40), stop_at_split=True)
+        assert early[0] != early[1]
 
     @given(multigraphs(max_n=7, max_m=10))
     def test_doubled_blocks_have_no_separator(self, g):
@@ -114,8 +138,8 @@ class TestShortcutSoundness:
         for block in cd.blocks(doubled).blocks:
             h = block.graph
             assert simple_edge_free(h)
-            for v in range(h.n):
-                assert cd.fused_bridge_probe(h, v) is None
+            if h.m:
+                assert_final_as_it_stands(h)
 
     def test_corpus_blocks_without_simple_edges_are_final(self):
         graphs = small_eulerian_corpus(1000) + [cd.gen_closed_necklace(k) for k in range(2, 12)]
@@ -125,8 +149,7 @@ class TestShortcutSoundness:
                 h = block.graph
                 if h.m == 0 or not simple_edge_free(h):
                     continue
-                for v in range(h.n):
-                    assert cd.fused_bridge_probe(h, v) is None
+                assert_final_as_it_stands(h)
                 checked += 1
         assert checked > 0
 
