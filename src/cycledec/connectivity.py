@@ -153,7 +153,8 @@ def blocks(g: MultiGraph) -> BlockForest:
     """Biconnected components of g; their edge sets partition E(g).
 
     Isolated vertices become single-vertex blocks so that every vertex
-    appears in at least one block.
+    appears in at least one block. Every block graph carries the
+    biconnected mark (see MultiGraph).
     """
     raw_blocks, isolated, cuts, _ = _lowpoint(g)
     out: list[Block] = []
@@ -162,9 +163,12 @@ def blocks(g: MultiGraph) -> BlockForest:
         verts = sorted({v for e in blk for v in g.endpoints(e)})
         local = {v: i for i, v in enumerate(verts)}
         graph = MultiGraph(len(verts), [(local[u], local[v]) for u, v in (g.endpoints(e) for e in blk)])
+        graph._biconnected = True
         out.append(Block(graph, tuple(verts), tuple(blk)))
     for v in isolated:
-        out.append(Block(MultiGraph(1, []), (v,), ()))
+        graph = MultiGraph(1, [])
+        graph._biconnected = True
+        out.append(Block(graph, (v,), ()))
     out.sort(key=lambda b: b.vertex_ids[0])
     incidence: dict[int, list[int]] = {c: [] for c in cuts}
     for bi, b in enumerate(out):

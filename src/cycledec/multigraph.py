@@ -31,9 +31,15 @@ MAX_VERTICES = 10**7
 
 
 class MultiGraph:
-    """Undirected loop-free multigraph with dense integer ids."""
+    """Undirected loop-free multigraph with dense integer ids.
 
-    __slots__ = ("_n", "_endpoints", "_incidence")
+    `_biconnected` is set by code that built the graph as a biconnected
+    component, so that entry points needing a biconnected input can skip
+    testing it again. It is not part of the graph's value: equality and
+    hashing ignore it.
+    """
+
+    __slots__ = ("_n", "_endpoints", "_incidence", "_biconnected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -51,6 +57,7 @@ class MultiGraph:
         self._n = n
         self._endpoints = tuple(endpoints)
         self._incidence = tuple(tuple(es) for es in incidence)
+        self._biconnected = False
 
     @property
     def n(self) -> int:

@@ -10,6 +10,37 @@ needs no global restarts and finishes in at most n - 2 steps per block.
 The mutable working graph keeps every vertex id ever created and never
 reuses edge ids, which makes traces exactly replayable.
 
+A probe at v asks for the smallest-id bridge of K - v, where K is the
+component of v (Pritchard & Thurimella, "Fast computation of small cuts via
+cycle space sampling", ACM TALG 2011, give the labels used to answer it
+without a walk). Each edge carries a 64-bit label: along a spanning tree,
+non-tree edges take a fixed hash of their id and a tree edge the XOR of the
+labels of the non-tree edges that close a cycle through it. The labels at
+every vertex then XOR to 0, so the labels of every cut δ(X) XOR to 0.
+
+* Soundness. If e is a bridge of K - v with side X, then δ(X) in K is e
+  plus some edges D at v, so label(e) is the XOR of label(D): every bridge
+  has a label in the span of the labels at v. A probe that finds no edge
+  away from v with such a label is an exact null. The smallest-id
+  candidate is a bridge unless labels collide, which a walk from both of
+  its ends confirms or refutes; a refuted candidate falls back to the
+  lowpoint walk. The labels only decide how fast an answer comes, never
+  which answer, so traces do not depend on them.
+* Split invariant. A step deletes the bridge e*, splits v into v1 and v2
+  and adds f1 = u1v1 and f2 = u2v2, both labelled label(e*). The labels at
+  v towards X XOR to label(e*) (the cut δ(X) above), so the labels at v1,
+  at v2, at u1 and at u2 still XOR to 0, and every other vertex keeps its
+  edges: no label ever changes. One half gets a new component id and
+  takes its edges out of the old component's label buckets; when the
+  labels found e*, it is the half that the walk from both ends of e*
+  exhausted first, the smaller one, so an edge moves O(log m) times.
+* Cost rule. A probe looks up the 2**rank sums of the labels at v only
+  while that is fewer than the edges of K - v that a walk would cross;
+  otherwise it walks. A block builds its labels on the first probe that
+  the rule admits, so blocks too small for it never build them. Before
+  the labels exist the rank is unknown, so the rule counts all 2**deg(v)
+  subsets of the edges at v, against the live edges of the whole graph.
+
 The yes/no verdict and the numbers take a shorter route that builds no
 trace: the series-parallel tables of oracle.series_parallel_numbers answer
 every block of treewidth at most 2, and a block of larger treewidth is not
@@ -19,6 +50,7 @@ numbers of a block of larger treewidth come from its worklist components.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
@@ -102,10 +134,11 @@ class _WorkGraph:
     `final` is set when every edge of the input has a parallel copy: the
     edge of a vertex-edge separator is a bridge of the graph minus a
     vertex, and a parallel copy survives that deletion, so no probe can
-    hit and the graph stays as it is.
+    hit and the graph stays as it is. `labels` stays None until the first
+    probe that the cost rule admits builds them.
     """
 
-    __slots__ = ("adj", "endpoints", "final")
+    __slots__ = ("adj", "endpoints", "final", "labels")
 
     def __init__(self, g: MultiGraph) -> None:
         self.adj: list[dict[int, int]] = [{} for _ in range(g.n)]
@@ -117,6 +150,82 @@ class _WorkGraph:
             self.endpoints.append((u, v))
         pairs = Counter((u, v) if u < v else (v, u) for u, v in self.endpoints)
         self.final = 1 not in pairs.values()
+        self.labels: Optional[_Labels] = None
+
+
+class _Labels:
+    """Cycle-space labels of a working graph, kept through its splits.
+
+    `label[e]` is edge e's label, `comp[x]` vertex x's component, and
+    `size[c]` and `buckets[c]` component c's edge count and its map from a
+    label to the ascending ids of the edges that carry it. `buckets[c]` is
+    None for a component whose probes can never pass the cost rule.
+    """
+
+    __slots__ = ("label", "comp", "size", "buckets")
+
+    def __init__(self, work: _WorkGraph) -> None:
+        """Per component, a BFS tree: each non-tree edge gets _edge_label of
+        its id and each tree edge the XOR of the non-tree labels at the
+        vertices of the subtree below it. The labels at every vertex then
+        XOR to 0."""
+        adj, endpoints = work.adj, work.endpoints
+        n = len(adj)
+        self.comp = comp = [-1] * n
+        self.size: list[int] = []
+        self.buckets: list[Optional[dict[int, list[int]]]] = []
+        up = [-1] * n
+        order: list[int] = []
+        for r in range(n):
+            if comp[r] >= 0:
+                continue
+            c = len(self.size)
+            comp[r] = c
+            part = [r]
+            for x in part:
+                for e, w in adj[x].items():
+                    if comp[w] < 0:
+                        comp[w] = c
+                        up[w] = e
+                        part.append(w)
+            order += part
+            self.size.append(0)
+            self.buckets.append({})
+        self.label = label = [0] * len(endpoints)
+        acc = [0] * n
+        for e, ends in enumerate(endpoints):
+            if ends is not None:
+                a, b = ends
+                if up[a] != e and up[b] != e:
+                    label[e] = h = _edge_label(e)
+                    acc[a] ^= h
+                    acc[b] ^= h
+        for x in reversed(order):
+            e = up[x]
+            if e >= 0:
+                label[e] = acc[x]
+                a, b = endpoints[e]
+                acc[b if a == x else a] ^= acc[x]
+        for e, ends in enumerate(endpoints):
+            if ends is not None:
+                c = comp[ends[0]]
+                self.size[c] += 1
+                self.buckets[c].setdefault(label[e], []).append(e)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _edge_label(e: int) -> int:
+    """Fixed 64-bit hash of an edge id. Integer and tuple hashes do not
+    depend on the interpreter's hash seed."""
+    return hash((e, 0x2545F4914F6CDD1D)) & _MASK64
+
+
+def _labels_pay(rank: int, edges: int) -> bool:
+    """Looking up the 2**rank label sums at a vertex costs less than a walk
+    across `edges` edges."""
+    return (1 << rank) < edges
 
 
 def _component_bridges(adj: list[dict[int, int]], skip: int, root: int):
@@ -163,13 +272,93 @@ def _component_bridges(adj: list[dict[int, int]], skip: int, root: int):
     return bridges, disc, tout
 
 
+def _smaller_side(adj: list[dict[int, int]], skip: int, e: int, a: int, b: int):
+    """The side of e that a walk exhausts first in the graph minus skip and e.
+
+    Walks from a and from b in turn, one vertex each, and stops when one
+    walk runs out: returns (its vertex set, whether it is b's side), or
+    None when the walks meet, that is when e is no bridge there.
+    """
+    sides = ({a}, {b})
+    todo = ([a], [b])
+    s = 0
+    while todo[s]:
+        mine, theirs = sides[s], sides[1 - s]
+        for f, w in adj[todo[s].pop()].items():
+            if w in mine or w == skip or f == e:
+                continue
+            if w in theirs:
+                return None
+            mine.add(w)
+            todo[s].append(w)
+        s = 1 - s
+    return sides[s], s == 1
+
+
+def _label_candidate(labels: _Labels, v: int, adjv: dict[int, int]):
+    """Smallest-id edge away from v whose label is a sum of labels at v.
+
+    Returns -1 when there is none, and None when the labels do not pay at
+    v: their span has 2**rank sums, not fewer than the edges of the
+    component away from v.
+    """
+    label = labels.label
+    c = labels.comp[v]
+    edges = labels.size[c]
+    if len(adjv) == edges:
+        # every edge of the component is at v, so none is left to cut
+        return -1
+    buckets = labels.buckets[c]
+    if buckets is None:
+        return None
+    away = edges - len(adjv)
+    # the labels at v XOR to 0, so the last one adds nothing to the span;
+    # pivots maps a leading bit to the basis vector that has it
+    pivots: dict[int, int] = {}
+    for e in list(adjv)[:-1]:
+        x = label[e]
+        while x:
+            top = x.bit_length()
+            b = pivots.get(top)
+            if b is None:
+                if not _labels_pay(len(pivots) + 1, away):
+                    return None
+                pivots[top] = x
+                break
+            x ^= b
+    sums = [0]
+    for b in pivots.values():
+        sums += [x ^ b for x in sums]
+    best = -1
+    for x in sums:
+        bucket = buckets.get(x)
+        if bucket is None:
+            continue
+        for e in bucket:
+            if best >= 0 and e >= best:
+                break
+            if e not in adjv:
+                best = e
+                break
+    return best
+
+
 def _probe(work: _WorkGraph, v: int):
-    """Smallest-id bridge of (component of v) minus v, with DFS intervals.
+    """Smallest-id bridge of (component of v) minus v, with one side of it.
 
     Returns None when v's neighbourhood leaves nothing behind, the graph
-    is final as it stands, or the punctured component has no bridge. The
-    DFS root is v's smallest neighbour; the bridge set does not depend on
-    that choice.
+    is final as it stands, or the punctured component has no bridge;
+    otherwise (bridge, side, side_is_u2) where side is the vertex set of
+    one side of the bridge in the component minus v, and side_is_u2 says
+    whether it holds the bridge's second stored endpoint.
+
+    Every bridge of the component minus v has a label in the span of the
+    labels at v (see the module docstring), so where the labels pay, an
+    empty candidate set is an exact null and the smallest candidate, once
+    a walk from its two ends confirms it, is the smallest bridge. A label
+    collision or a vertex where the labels do not pay falls back to the
+    lowpoint scan, whose DFS root is v's smallest neighbour; the bridge set
+    does not depend on that choice.
     """
     adjv = work.adj[v]
     if not adjv or work.final:
@@ -177,10 +366,25 @@ def _probe(work: _WorkGraph, v: int):
     root = min(adjv.values())
     if root == v:
         raise GraphError("loop edge in working graph")
+    if work.labels is None:
+        live = len(work.endpoints) - work.endpoints.count(None)
+        if _labels_pay(len(adjv), live - len(adjv)):
+            work.labels = _Labels(work)
+    if work.labels is not None:
+        e = _label_candidate(work.labels, v, adjv)
+        if e == -1:
+            return None
+        if e is not None:
+            a, b = work.endpoints[e]
+            found = _smaller_side(work.adj, v, e, a, b)
+            if found is not None:
+                return e, found[0], found[1]
     bridges, disc, tout = _component_bridges(work.adj, v, root)
     if not bridges:
         return None
-    return min(bridges), disc, tout
+    e, _p, c = min(bridges)
+    lo, hi = disc[c], tout[c]
+    return e, {w for w, d in disc.items() if lo <= d < hi}, c == work.endpoints[e][1]
 
 
 def _apply(work: _WorkGraph, v: int, probe) -> VeStep:
@@ -189,10 +393,8 @@ def _apply(work: _WorkGraph, v: int, probe) -> VeStep:
     Matches ve_separation_step's conventions: v keeps its id on the side of
     the bridge's first stored endpoint.
     """
-    (e_star, _p, c_star), disc, tout = probe
+    e_star, side, side_is_u2 = probe
     u1, u2 = work.endpoints[e_star]
-    lo, hi = disc[c_star], tout[c_star]
-    sub_is_u2 = u2 == c_star
     adj = work.adj
     del adj[u1][e_star]
     del adj[u2][e_star]
@@ -200,11 +402,7 @@ def _apply(work: _WorkGraph, v: int, probe) -> VeStep:
     v2 = len(adj)
     adj.append({})
     adjv = adj[v]
-    moving = [
-        (e, w)
-        for e, w in adjv.items()
-        if ((dw := disc.get(w)) is not None and lo <= dw < hi) == sub_is_u2
-    ]
+    moving = [(e, w) for e, w in adjv.items() if (w in side) == side_is_u2]
     adj2 = adj[v2]
     for e, w in moving:
         del adjv[e]
@@ -213,14 +411,64 @@ def _apply(work: _WorkGraph, v: int, probe) -> VeStep:
         a, b = work.endpoints[e]
         work.endpoints[e] = (v2, b) if a == v else (a, v2)
     f1 = len(work.endpoints)
+    f2 = f1 + 1
+    if work.labels is not None:
+        if side_is_u2:
+            _split_labels(work.labels, adj, v, e_star, side, v2, f2, f1)
+        else:
+            _split_labels(work.labels, adj, v, e_star, side, v, f1, f2)
     work.endpoints.append((u1, v))
     adj[u1][f1] = v
     adjv[f1] = u1
-    f2 = f1 + 1
     work.endpoints.append((u2, v2))
     adj[u2][f2] = v2
     adj2[f2] = u2
     return VeStep(vertex=v, edge=e_star, u1=u1, u2=u2, v1=v, v2=v2, f1=f1, f2=f2)
+
+
+def _split_labels(labels: _Labels, adj: list[dict[int, int]], v: int, e_star: int,
+                  side: set[int], hub: int, f_new: int, f_old: int) -> None:
+    """Give one half of a split its own component and buckets.
+
+    Runs once v's edges have moved and before the joining edges exist. The
+    half is side plus hub, the copy of v on that side, and f_new is the
+    joining edge it gets; its edges leave the old component's buckets, and
+    f_old joins them. Both joining edges take e_star's label, which keeps
+    the labels at every vertex summing to 0.
+    """
+    label, comp = labels.label, labels.comp
+    c = comp[v]
+    lab = label[e_star]
+    label += (lab, lab)
+    comp.append(c)
+    new = len(labels.size)
+    comp[hub] = new
+    edges = set(adj[hub])
+    for x in side:
+        comp[x] = new
+        edges.update(adj[x])
+    old = labels.buckets[c]
+    buckets: Optional[dict[int, list[int]]] = None
+    if old is not None:
+        for e in (e_star, *edges):
+            bucket = old[label[e]]
+            if len(bucket) == 1:
+                del old[label[e]]
+            else:
+                del bucket[bisect_left(bucket, e)]
+        old.setdefault(lab, []).append(f_old)
+        # no probe reads the buckets of a two-vertex half, where every edge
+        # is at the probed vertex, nor of a half whose probes leave too few
+        # edges away from the probed vertex to pass the rule; nor do the
+        # halves it splits into
+        if len(side) > 1 and _labels_pay(1, len(edges) - 1):
+            buckets = {}
+            for e in sorted(edges):
+                buckets.setdefault(label[e], []).append(e)
+            buckets.setdefault(lab, []).append(f_new)
+    labels.size.append(len(edges) + 1)
+    labels.size[c] -= len(edges)
+    labels.buckets.append(buckets)
 
 
 def fused_bridge_probe(g: MultiGraph, v: int) -> Optional[int]:
@@ -232,7 +480,7 @@ def fused_bridge_probe(g: MultiGraph, v: int) -> Optional[int]:
     if not (0 <= v < g.n):
         raise InvalidVertexError(f"v={v} out of range for n={g.n}")
     probe = _probe(_WorkGraph(g), v)
-    return None if probe is None else probe[0][0]
+    return None if probe is None else probe[0]
 
 
 def test_and_decompose(g: MultiGraph, v: int) -> tuple[MultiGraph, Optional[tuple[int, int]]]:
@@ -258,8 +506,10 @@ def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[Mult
     Default order is FIFO over ascending vertex ids with both sides of each
     split re-enqueued; order_seed switches to uniformly random pops. The
     final graph and every per-step id are deterministic given the order.
+    A graph that blocks() built carries the biconnected mark and is not
+    tested again.
     """
-    if not is_biconnected(g):
+    if not (g._biconnected or is_biconnected(g)):
         raise NotBiconnectedError("the separation worklist needs a biconnected input")
     work = _WorkGraph(g)
     steps: list[VeStep] = []
@@ -285,6 +535,9 @@ def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[Mult
         pool.append(step.v1)
         pool.append(step.v2)
 
+    # the final components are built without the labels; dropping them
+    # first keeps the peak memory at the walk's
+    work.labels = None
     endpoints = work.endpoints
     alive = tuple(e for e, ep in enumerate(endpoints) if ep is not None)
     final = MultiGraph(len(work.adj), [endpoints[e] for e in alive])
@@ -326,26 +579,42 @@ def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[Mult
 def replay_trace(trace: DecompositionTrace) -> MultiGraph:
     """Rebuild the input graph from a trace by undoing steps in reverse.
 
-    Raises GraphError when the trace is inconsistent; otherwise the result
-    is id-for-id the original input.
+    Undoing a step merges v2 into v1. The merges go into a union-find
+    forest, so an undo touches no edge but its own three, and an edge end
+    is resolved through the forest when it is read. Raises GraphError when
+    the trace is inconsistent; otherwise the result is id-for-id the
+    original input.
     """
+    merged_into: dict[int, int] = {}
+
+    def current(x: int) -> int:
+        root = x
+        while root in merged_into:
+            root = merged_into[root]
+        while x != root:
+            merged_into[x], x = root, merged_into[x]
+        return root
+
     endpoints: dict[int, tuple[int, int]] = {}
     for comp in trace.components:
-        for le in range(comp.graph.m):
-            a, b = comp.graph.endpoints(le)
-            endpoints[comp.edge_ids[le]] = (comp.vertex_ids[a], comp.vertex_ids[b])
+        vids = comp.vertex_ids
+        for e, (a, b) in zip(comp.edge_ids, comp.graph.edges()):
+            endpoints[e] = (vids[a], vids[b])
     for st in reversed(trace.steps):
-        if st.f1 not in endpoints or st.f2 not in endpoints:
-            raise GraphError(f"trace step {st.trace_line()!r} misses its joining edges")
-        del endpoints[st.f1]
-        del endpoints[st.f2]
-        for e, (a, b) in endpoints.items():
-            if a == st.v2 or b == st.v2:
-                endpoints[e] = (st.v1 if a == st.v2 else a, st.v1 if b == st.v2 else b)
+        f1 = endpoints.pop(st.f1, None)
+        f2 = endpoints.pop(st.f2, None)
+        if (f1 is None or f2 is None
+                or (current(f1[0]), current(f1[1])) != (st.u1, st.v1)
+                or (current(f2[0]), current(f2[1])) != (st.u2, st.v2)
+                or st.edge in endpoints or st.v1 == st.v2 or st.vertex != st.v1):
+            raise GraphError(f"trace step {st.trace_line()!r} does not match the edges it left")
+        merged_into[st.v2] = st.v1
         endpoints[st.edge] = (st.u1, st.u2)
     if sorted(endpoints) != list(range(trace.input_m)):
         raise GraphError("replay did not recover the original edge ids")
-    return MultiGraph(trace.input_n, [endpoints[e] for e in range(trace.input_m)])
+    final = {x: current(x) for x in list(merged_into)}.get
+    return MultiGraph(trace.input_n, [(final(a, a), final(b, b))
+                                      for a, b in map(endpoints.get, range(trace.input_m))])
 
 
 def _block_is_unique(h: MultiGraph) -> bool:

@@ -168,6 +168,13 @@ def test_criterion_6_regular_family():
     print(f"criterion 6: PASS ({trees} members decomposed to necklaces and replayed)")
 
 
+def _loglog_slope(sizes, times) -> float:
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(t) for t in times]
+    xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum((x - xbar) ** 2 for x in xs)
+
+
 def test_criterion_7_scaling_and_differential(corpus):
     sizes = (1000, 2000, 4000, 8000, 16000)
     times = []
@@ -181,12 +188,7 @@ def test_criterion_7_scaling_and_differential(corpus):
         assert verdict
         times.append(best)
     assert times[-1] < 60.0
-    xs = [math.log(n) for n in sizes]
-    ys = [math.log(t) for t in times]
-    xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
-        (x - xbar) ** 2 for x in xs
-    )
+    slope = _loglog_slope(sizes, times)
     assert slope <= 2.2
 
     graphs = list(corpus)
@@ -207,6 +209,29 @@ def test_criterion_7_scaling_and_differential(corpus):
         f"criterion 7: PASS (slope={slope:.2f}, t16k={times[-1]:.2f}s, "
         f"fused=naive on {pieces} blocks)"
     )
+
+
+@pytest.mark.parametrize("family", ["random_eulerian", "class_H"])
+def test_criterion_7_worklist_scaling(family):
+    # the separation worklist alone, on graphs that are one large block and
+    # whose probes mostly find no bridge; walking the component on every
+    # probe made it quadratic
+    sizes = (1000, 2000, 4000, 8000)
+    times = []
+    for n in sizes:
+        g = cd.gen_random_eulerian(n, n // 4, 31) if family == "random_eulerian" else cd.gen_class_H(n, 31)
+        hs = [b.graph for b in cd.blocks(g).blocks if b.graph.m > 0]
+        assert max(h.m for h in hs) > n
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for h in hs:
+                cd.ve_components(h)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    slope = _loglog_slope(sizes, times)
+    assert slope <= 1.6
+    print(f"criterion 7, worklist on {family}: PASS (slope={slope:.2f}, t8k={times[-1]:.2f}s)")
 
 
 def test_criterion_8_order_invariance(corpus, tmp_path_factory, capsys):

@@ -91,6 +91,11 @@ class TestBlocks:
         assert all_edges == list(range(g.m))
         for block in forest.blocks:
             assert cd.is_biconnected(block.graph)
+            assert block.graph._biconnected
+            # the mark is no part of the graph's value
+            plain = cd.MultiGraph(block.graph.n, block.graph.edges())
+            assert not plain._biconnected
+            assert plain == block.graph and hash(plain) == hash(block.graph)
             # local ids map back to the parent's endpoints
             for le in range(block.graph.m):
                 a, b = block.graph.endpoints(le)

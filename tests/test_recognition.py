@@ -1,9 +1,13 @@
+import dataclasses
 import hashlib
+import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import cycledec as cd
+from cycledec import recognition
 from cycledec.cli import main
 from conftest import built_graphs, eulerian_graphs
 from helpers import canon, mk_bowtie, mk_k5
@@ -104,6 +108,18 @@ class TestWorklist:
         with pytest.raises(cd.NotBiconnectedError):
             cd.ve_components(mk_bowtie())
 
+    def test_block_graphs_skip_the_biconnectivity_test(self, monkeypatch):
+        tested = []
+        check = recognition.is_biconnected
+        monkeypatch.setattr(recognition, "is_biconnected", lambda g: tested.append(g) or check(g))
+        g, _ = cd.gen_class_G(40, 3)
+        for block in cd.blocks(g).blocks:
+            cd.ve_components(block.graph)
+        assert tested == []
+        h = cd.gen_cycle(5)
+        cd.ve_components(h)
+        assert tested == [h]
+
     def test_step_bound(self):
         for n, seed in ((6, 11), (8, 12), (10, 13), (14, 14)):
             g, _ = cd.gen_class_G(n, seed, max_leaf=2)
@@ -149,6 +165,132 @@ class TestWorklist:
                 assert t1 == t2
 
 
+def _walk_probe(work, v):
+    """Reference probe: smallest bridge of (component of v) minus v from the
+    lowpoint walk, as (bridge, vertex set of u2's side, component minus v)."""
+    adjv = work.adj[v]
+    if not adjv:
+        return None
+    bridges, disc, tout = recognition._component_bridges(work.adj, v, min(adjv.values()))
+    if not bridges:
+        return None
+    e, _p, c = min(bridges)
+    sub = {w for w in disc if disc[c] <= disc[w] < tout[c]}
+    rest = set(disc)
+    return e, sub if c == work.endpoints[e][1] else rest - sub, rest
+
+
+def _assert_labels_consistent(work):
+    """The split invariant: labels at every vertex XOR to 0, and each
+    component's size and buckets list exactly its edges."""
+    labels = work.labels
+    alive = [e for e, ends in enumerate(work.endpoints) if ends is not None]
+    for x, adjx in enumerate(work.adj):
+        acc = 0
+        for e in adjx:
+            acc ^= labels.label[e]
+        assert acc == 0
+    by_comp = {}
+    for e in alive:
+        a, b = work.endpoints[e]
+        assert labels.comp[a] == labels.comp[b]
+        by_comp.setdefault(labels.comp[a], []).append(e)
+    for c, size in enumerate(labels.size):
+        edges = by_comp.get(c, [])
+        assert size == len(edges)
+        if labels.buckets[c] is not None:
+            want = {}
+            for e in edges:
+                want.setdefault(labels.label[e], []).append(e)
+            assert labels.buckets[c] == want
+
+
+def _check_label_probes(h, order_seed=None, build_after=0):
+    """Run the worklist on h, walking until build_after steps are done and
+    then building the labels; from then on, at every pop, the label path
+    must name the same bridge and the same sides as the lowpoint walk."""
+    work = recognition._WorkGraph(h)
+    work.final = False
+    pool = list(range(h.n))
+    rng = random.Random(order_seed)
+    steps = 0
+    while pool:
+        v = pool.pop(0) if order_seed is None else pool.pop(rng.randrange(len(pool)))
+        if work.labels is None and steps >= build_after:
+            work.labels = recognition._Labels(work)
+        if work.labels is None:
+            ref = _walk_probe(work, v)
+            probe = None if ref is None else (ref[0], ref[1], True)
+        else:
+            ref = _walk_probe(work, v)
+            adjv = work.adj[v]
+            e = recognition._label_candidate(work.labels, v, adjv) if adjv else -1
+            if ref is None:
+                assert e == -1
+                continue
+            assert e == ref[0]
+            a, b = work.endpoints[e]
+            side, side_is_u2 = recognition._smaller_side(work.adj, v, e, a, b)
+            assert (side if side_is_u2 else ref[2] - side) == ref[1]
+            assert len(side) <= len(ref[2]) - len(side) + 1
+            probe = recognition._probe(work, v)
+            assert probe[0] == e
+        if probe is None:
+            continue
+        step = recognition._apply(work, v, probe)
+        steps += 1
+        pool += [step.v1, step.v2]
+        if work.labels is not None:
+            _assert_labels_consistent(work)
+    return steps
+
+
+def _family_blocks(ns, seeds):
+    for n in ns:
+        graphs = [cd.gen_cycle(n), cd.gen_closed_necklace(n)]
+        for seed in seeds:
+            graphs += [cd.gen_class_G(n, seed)[0], cd.gen_class_H(n, seed),
+                       cd.gen_class_H_prime(n, seed), cd.gen_random_eulerian(n, n // 4, seed)]
+        for g in graphs:
+            for block in cd.blocks(g).blocks:
+                if block.graph.n > 2:
+                    yield block.graph
+
+
+class TestLabelProbe:
+    """The cycle-space label probe against the lowpoint walk it replaces,
+    with the cost rule switched off so that the labels answer every probe."""
+
+    @pytest.fixture(autouse=True)
+    def labels_everywhere(self, monkeypatch):
+        monkeypatch.setattr(recognition, "_labels_pay", lambda rank, edges: True)
+
+    @given(eulerian_graphs(max_n=14, max_extra=5), st.integers(0, 3))
+    def test_random_eulerian(self, g, build_after):
+        for block in cd.blocks(g).blocks:
+            if block.graph.n > 2:
+                _check_label_probes(block.graph, None, build_after)
+                _check_label_probes(block.graph, 7, build_after)
+
+    @given(built_graphs(max_n=14), st.integers(0, 3))
+    def test_built_graphs(self, g, build_after):
+        for block in cd.blocks(g).blocks:
+            if block.graph.n > 2:
+                _check_label_probes(block.graph, None, build_after)
+
+    def test_every_family_up_to_128(self):
+        steps = 0
+        for h in _family_blocks((3, 4, 5, 7, 10, 16, 33, 64, 128), (0, 1)):
+            for order_seed, build_after in ((None, 0), (5, 0), (None, 2)):
+                steps += _check_label_probes(h, order_seed, build_after)
+        assert steps > 1000
+
+    def test_single_step_entry_agrees_with_the_naive_scan(self):
+        for h in _family_blocks((5, 16, 64), (2,)):
+            for v in range(h.n):
+                assert cd.fused_bridge_probe(h, v) == cd.find_cut_edge_avoiding(h, v)
+
+
 class TestFrozenTraces:
     """Digests of `decompose` output for every generator family over a fixed
     (n, seed) grid, in FIFO order and under three order seeds. They pin every
@@ -177,6 +319,42 @@ class TestFrozenTraces:
 
     @pytest.mark.parametrize("order", list(DIGESTS))
     def test_decompose_text(self, tmp_path, order):
+        assert self.digest(tmp_path, order) == self.DIGESTS[order]
+
+    @pytest.mark.parametrize("order", [None, 5])
+    def test_constant_labels_keep_the_traces(self, tmp_path, monkeypatch, order):
+        # every edge label alike: candidates are mostly no bridge at all, so
+        # hits fall back to the lowpoint walk, and the ids must not move
+        refuted = []
+        confirm = recognition._smaller_side
+
+        def counting_confirm(*args):
+            found = confirm(*args)
+            refuted.append(found is None)
+            return found
+
+        monkeypatch.setattr(recognition, "_edge_label", lambda e: 1)
+        monkeypatch.setattr(recognition, "_smaller_side", counting_confirm)
+        assert self.digest(tmp_path, order) == self.DIGESTS[order]
+        assert sum(refuted) > len(refuted) // 2
+
+    @pytest.mark.parametrize("order", [None, 5])
+    def test_label_path_everywhere_keeps_the_traces(self, tmp_path, monkeypatch, order):
+        # with the cost rule always admitting the labels, every block builds
+        # them on its first probe, tiny ones included
+        built = []
+        build = recognition._Labels
+
+        def counting_build(work):
+            built.append(len(work.endpoints))
+            return build(work)
+
+        monkeypatch.setattr(recognition, "_labels_pay", lambda rank, edges: True)
+        monkeypatch.setattr(recognition, "_Labels", counting_build)
+        assert self.digest(tmp_path, order) == self.DIGESTS[order]
+        assert min(built) <= 3
+
+    def digest(self, tmp_path, order) -> str:
         graph_path = tmp_path / "g.graph"
         trace_path = tmp_path / "g.trace"
         order_args = [] if order is None else ["--randomized-order", str(order)]
@@ -195,7 +373,7 @@ class TestFrozenTraces:
                     cd.Block(b.graph, b.vertex_ids, tuple(trace.final_edge_ids[e] for e in b.edge_ids))
                     for b in cd.blocks(final).blocks
                 )
-        assert h.hexdigest() == self.DIGESTS[order]
+        return h.hexdigest()
 
 
 class TestReplay:
@@ -235,6 +413,19 @@ class TestReplay:
         )
         with pytest.raises(cd.GraphError):
             cd.replay_trace(tampered)
+
+    @pytest.mark.parametrize("field", ["vertex", "edge", "u1", "u2", "v1", "v2", "f1", "f2"])
+    def test_replay_rejects_any_tampered_field(self, field):
+        for g in (cd.gen_cycle(9), cd.gen_class_H(14, 3), cd.gen_random_eulerian(14, 3, 4)):
+            h = max(cd.blocks(g).blocks, key=lambda b: b.graph.m).graph
+            _, trace = cd.ve_components(h)
+            assert trace.steps
+            for k, step in enumerate(trace.steps):
+                for delta in (-2, -1, 1, 3):
+                    steps = list(trace.steps)
+                    steps[k] = dataclasses.replace(step, **{field: getattr(step, field) + delta})
+                    with pytest.raises(cd.GraphError):
+                        cd.replay_trace(dataclasses.replace(trace, steps=tuple(steps)))
 
 
 class TestVerdicts:
