@@ -4,7 +4,7 @@ All randomness flows through Rng, so a (family, params, seed) triple pins
 the output bit for bit on every platform.
 
 Construction scripts are little stack programs that rebuild a generated
-graph through the public operators, id for id:
+graph id for id:
 
     M <k>                    push the Eulerian multiedge with 2k edges
     N <k>                    push the closed necklace on k vertices
@@ -14,17 +14,19 @@ graph through the public operators, id for id:
     E <e1> <u1> <e2> <u2>    pop g2, pop g1, push edge identification
     X <e1> <u1> <e2> <u2>    pop g2, pop g1, push vertex-edge identification
 
-The big-graph generators apply the operators' own edge-list core in place,
+The generators and replay_script apply the operators' own edge-list core
+in place on [n, edge list] pairs and build one MultiGraph at the end,
 sidestepping the quadratic cost of rebuilding an immutable graph per
-application; replaying the emitted script through the public operators
-reproduces the same labeled graph.
+application. replay_script runs the public operators' own check functions,
+so a bad script fails with the error they would raise, and a good one
+yields the graph they would build, id for id.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidParamError
-from .multigraph import MultiGraph
-from .operators import edge_identification, join_vertex, splice, vertex_identification, vertex_edge_identification
+from .errors import InvalidParamError, TooLargeError
+from .multigraph import MAX_VERTICES, MultiGraph
+from .operators import check_edge, check_join, check_splice, join_vertex, splice
 from .rng import Rng
 
 # The families as [n, edge list] pairs, the operand form of the operator core.
@@ -45,24 +47,45 @@ def _necklace(k: int) -> list:
     return [k, edges]
 
 
+def _subdivide(g: list, e: int) -> None:
+    """Subdivide edge e in place: (u, v) becomes (u, w), and (w, v) is
+    appended, with w = n the fresh vertex."""
+    u, v = g[1][e]
+    w = g[0]
+    g[1][e] = (u, w)
+    g[1].append((w, v))
+    g[0] = w + 1
+
+
+# script leaf -> (builder, least k, why)
+_LEAVES = {
+    "M": (_multiedge, 1, "need at least one edge pair"),
+    "N": (_necklace, 2, "a closed necklace needs at least two vertices"),
+    "C": (_cycle, 2, "a cycle needs at least two vertices"),
+}
+
+
+def _check_leaf(op: str, k: int) -> None:
+    _, least, why = _LEAVES[op]
+    if k < least:
+        raise InvalidParamError(f"k={k}, {why}")
+
+
 def gen_eulerian_multiedge(k: int) -> MultiGraph:
     """Two vertices joined by 2k parallel edges."""
-    if k < 1:
-        raise InvalidParamError(f"k={k}, need at least one edge pair")
+    _check_leaf("M", k)
     return MultiGraph(*_multiedge(k))
 
 
 def gen_cycle(k: int) -> MultiGraph:
     """The cycle on k vertices; k = 2 is a parallel pair."""
-    if k < 2:
-        raise InvalidParamError(f"k={k}, a cycle needs at least two vertices")
+    _check_leaf("C", k)
     return MultiGraph(*_cycle(k))
 
 
 def gen_closed_necklace(k: int) -> MultiGraph:
     """The cycle on k vertices with every edge doubled."""
-    if k < 2:
-        raise InvalidParamError(f"k={k}, a closed necklace needs at least two vertices")
+    _check_leaf("N", k)
     return MultiGraph(*_necklace(k))
 
 
@@ -71,14 +94,10 @@ def subdivide_edge(g: MultiGraph, e: int) -> MultiGraph:
 
     The half u-w keeps the id e, the half w-v takes the last id.
     """
-    if not (0 <= e < g.m):
-        raise InvalidParamError(f"e={e} out of range for m={g.m}")
-    u, v = g.endpoints(e)
-    w = g.n
-    edges = list(g.edges())
-    edges[e] = (u, w)
-    edges.append((w, v))
-    return MultiGraph(g.n + 1, edges)
+    check_edge(g.m, e, "e")
+    raw = [g.n, list(g.edges())]
+    _subdivide(raw, e)
+    return MultiGraph(*raw)
 
 
 def gen_class_G(target_n: int, seed: int, max_leaf: int = 3) -> tuple[MultiGraph, tuple]:
@@ -224,12 +243,7 @@ def gen_class_H_prime(target_n: int, seed: int) -> MultiGraph:
             if not low:
                 choice = 0
         if choice == 0:
-            e = rng.below(len(g[1]))
-            u, v = g[1][e]
-            w = g[0]
-            g[1][e] = (u, w)
-            g[1].append((w, v))
-            g[0] = w + 1
+            _subdivide(g, rng.below(len(g[1])))
         elif choice in (1, 2):
             if choice == 1:
                 fresh = _necklace(2 + rng.below(min(2, room - 1)))
@@ -302,40 +316,58 @@ def parse_script(text: str) -> tuple:
     return tuple(out)
 
 
+def _check_budget(i: int, n: int, m: int) -> None:
+    if n > MAX_VERTICES or m > MAX_VERTICES:
+        raise TooLargeError(f"instruction {i}: the stack would hold {n} vertices and {m} edges, "
+                            f"over the budget {MAX_VERTICES}")
+
+
 def replay_script(script: tuple) -> MultiGraph:
-    """Evaluate a construction script through the public operators."""
-    stack: list[MultiGraph] = []
+    """Evaluate a construction script and return its graph.
 
-    def pop2() -> tuple[MultiGraph, MultiGraph]:
-        if len(stack) < 2:
-            raise InvalidParamError("script pops from an empty stack")
-        g2 = stack.pop()
-        g1 = stack.pop()
-        return g1, g2
-
-    for instr in script:
+    The stack holds [n, edge list] pairs that leaves, subdivisions and the
+    operator core rewrite in place; one MultiGraph is built at the end, id
+    for id the graph that the public operators give. Each instruction is
+    checked as the public generators and operators check it, with the same
+    errors. TooLargeError is raised before a leaf or a subdivision would
+    put more than multigraph.MAX_VERTICES vertices or edges on the stack.
+    """
+    stack: list[list] = []
+    total_n = total_m = 0
+    for i, instr in enumerate(script, start=1):
         op = instr[0]
-        if op == "M":
-            stack.append(gen_eulerian_multiedge(instr[1]))
-        elif op == "N":
-            stack.append(gen_closed_necklace(instr[1]))
-        elif op == "C":
-            stack.append(gen_cycle(instr[1]))
+        if op in _LEAVES:
+            k = instr[1]
+            _check_leaf(op, k)
+            total_n += 2 if op == "M" else k
+            total_m += k if op == "C" else 2 * k
+            _check_budget(i, total_n, total_m)
+            stack.append(_LEAVES[op][0](k))
         elif op == "D":
             if not stack:
                 raise InvalidParamError("script pops from an empty stack")
-            stack.append(subdivide_edge(stack.pop(), instr[1]))
-        elif op == "V":
-            g1, g2 = pop2()
-            stack.append(vertex_identification(g1, instr[1], g2, instr[2])[0])
-        elif op == "E":
-            g1, g2 = pop2()
-            stack.append(edge_identification(g1, instr[1], instr[2], g2, instr[3], instr[4])[0])
-        elif op == "X":
-            g1, g2 = pop2()
-            stack.append(vertex_edge_identification(g1, instr[1], instr[2], g2, instr[3], instr[4])[0])
+            check_edge(len(stack[-1][1]), instr[1], "e")
+            total_n += 1
+            total_m += 1
+            _check_budget(i, total_n, total_m)
+            _subdivide(stack[-1], instr[1])
+        elif op in ("V", "E", "X"):
+            if len(stack) < 2:
+                raise InvalidParamError("script pops from an empty stack")
+            g2 = stack.pop()
+            g1 = stack[-1]
+            if op == "V":
+                check_join(g1, instr[1], g2, instr[2])
+                join_vertex(g1, instr[1], g2, instr[2])
+                total_n -= 1
+            else:
+                check_splice(g1, instr[1], instr[2], g2, instr[3], instr[4])
+                splice(g1, instr[1], instr[2], g2, instr[3], instr[4], merge=op == "X")
+                if op == "X":
+                    total_n -= 1
+                    total_m -= 1
         else:
             raise InvalidParamError(f"unknown instruction {op!r}")
     if len(stack) != 1:
         raise InvalidParamError(f"script leaves {len(stack)} graphs on the stack")
-    return stack[0]
+    return MultiGraph(*stack[0])

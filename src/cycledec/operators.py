@@ -62,14 +62,16 @@ class OperatorApplication:
         return f"X {a1} {a2} -> {self.merged_vertex} {self.new_edges[0]}"
 
 
-def _check_vertex(g: MultiGraph, v: int, label: str) -> None:
-    if not (0 <= v < g.n):
-        raise InvalidVertexError(f"{label}={v} out of range for n={g.n}")
+def check_vertex(n: int, v: int, label: str) -> None:
+    """Raise InvalidVertexError unless v is a vertex id of a graph on n vertices."""
+    if not (0 <= v < n):
+        raise InvalidVertexError(f"{label}={v} out of range for n={n}")
 
 
-def _check_edge(g: MultiGraph, e: int, label: str) -> None:
-    if not (0 <= e < g.m):
-        raise InvalidParamError(f"{label}={e} out of range for m={g.m}")
+def check_edge(m: int, e: int, label: str) -> None:
+    """Raise InvalidParamError unless e is an edge id of a graph with m edges."""
+    if not (0 <= e < m):
+        raise InvalidParamError(f"{label}={e} out of range for m={m}")
 
 
 def _glued(n1: int, n2: int, w: int, into: int) -> tuple[int, ...]:
@@ -78,11 +80,29 @@ def _glued(n1: int, n2: int, w: int, into: int) -> tuple[int, ...]:
     return (*range(n1, n1 + w), into, *range(n1 + w, n1 + n2 - 1))
 
 
+def check_join(g1: list, u1: int, g2: list, u2: int) -> None:
+    """The anchor checks of vertex identification, on [n, edge list] pairs."""
+    check_vertex(g1[0], u1, "u1")
+    check_vertex(g2[0], u2, "u2")
+
+
+def check_splice(g1: list, e1: int, u1: int, g2: list, e2: int, u2: int) -> None:
+    """The anchor checks of edge and vertex-edge identification, on
+    [n, edge list] pairs: both edges exist and each anchor is an endpoint."""
+    check_edge(len(g1[1]), e1, "e1")
+    check_edge(len(g2[1]), e2, "e2")
+    if u1 not in g1[1][e1]:
+        raise NotAnEndpointError(f"u1={u1} is not an endpoint of edge {e1}")
+    if u2 not in g2[1][e2]:
+        raise NotAnEndpointError(f"u2={u2} is not an endpoint of edge {e2}")
+
+
 def join_vertex(g1: list, u1: int, g2: list, u2: int) -> tuple[int, ...]:
     """Vertex identification in place on [n, edge list] pairs.
 
     Appends g2's edges to g1 with u2 merged into u1 and returns g2's vertex
-    map. No checks: the public operators and the generators share this core.
+    map. No checks: the public operators and replay_script run check_join
+    first, and the generators draw valid anchors.
     """
     n1, edges1 = g1
     vmap2 = _glued(n1, g2[0], u2, u1)
@@ -97,7 +117,8 @@ def splice(g1: list, e1: int, u1: int, g2: list, e2: int, u2: int, merge: bool) 
 
     Deletes e1 and e2 and appends g2's other edges to g1, then the edge
     u1-u2 and, without merge, the edge between the far endpoints v1-v2;
-    with merge, v2 is glued onto v1 instead. Returns g2's vertex map.
+    with merge, v2 is glued onto v1 instead. Returns g2's vertex map. No
+    checks, as for join_vertex: check_splice goes first.
     """
     n1, edges1 = g1
     n2, edges2 = g2
@@ -124,10 +145,9 @@ def _without(start: int, m: int, e: int) -> tuple[Optional[int], ...]:
 
 def vertex_identification(g1: MultiGraph, u1: int, g2: MultiGraph, u2: int) -> tuple[MultiGraph, OperatorApplication]:
     """Glue g1 and g2 at u1 = u2. The merged vertex keeps the id u1."""
-    _check_vertex(g1, u1, "u1")
-    _check_vertex(g2, u2, "u2")
-    raw = [g1.n, list(g1.edges())]
-    vmap2 = join_vertex(raw, u1, [g2.n, list(g2.edges())], u2)
+    raw, raw2 = [g1.n, list(g1.edges())], [g2.n, list(g2.edges())]
+    check_join(raw, u1, raw2, u2)
+    vmap2 = join_vertex(raw, u1, raw2, u2)
     rec = OperatorApplication(
         kind="V",
         anchors1=(u1,),
@@ -144,15 +164,10 @@ def vertex_identification(g1: MultiGraph, u1: int, g2: MultiGraph, u2: int) -> t
 
 def _splice_application(kind: str, g1: MultiGraph, e1: int, u1: int,
                         g2: MultiGraph, e2: int, u2: int) -> tuple[MultiGraph, OperatorApplication]:
-    _check_edge(g1, e1, "e1")
-    _check_edge(g2, e2, "e2")
-    if u1 not in g1.endpoints(e1):
-        raise NotAnEndpointError(f"u1={u1} is not an endpoint of edge {e1}")
-    if u2 not in g2.endpoints(e2):
-        raise NotAnEndpointError(f"u2={u2} is not an endpoint of edge {e2}")
+    raw, raw2 = [g1.n, list(g1.edges())], [g2.n, list(g2.edges())]
+    check_splice(raw, e1, u1, raw2, e2, u2)
     merge = kind == "X"
-    raw = [g1.n, list(g1.edges())]
-    vmap2 = splice(raw, e1, u1, [g2.n, list(g2.edges())], e2, u2, merge)
+    vmap2 = splice(raw, e1, u1, raw2, e2, u2, merge)
     m1, m = g1.m, len(raw[1])
     rec = OperatorApplication(
         kind=kind,
@@ -201,7 +216,7 @@ def find_cut_edge_avoiding(g: MultiGraph, v: int) -> Optional[int]:
     plain bridge scan. The recognition module carries a fused fast path
     that must agree with this on every input.
     """
-    _check_vertex(g, v, "v")
+    check_vertex(g.n, v, "v")
     if g.n == 1:
         return None
     sub, _, edge_ids = induced_subgraph(g, (w for w in range(g.n) if w != v))
@@ -252,8 +267,8 @@ def ve_separation_step(g: MultiGraph, sep: VESeparator) -> tuple[MultiGraph, VeS
     joined to the copy on its own side.
     """
     v, e = sep.vertex, sep.edge
-    _check_vertex(g, v, "v")
-    _check_edge(g, e, "e")
+    check_vertex(g.n, v, "v")
+    check_edge(g.m, e, "e")
     u1, u2 = g.endpoints(e)
     if v in (u1, u2):
         raise NotASeparatorError(f"edge {e} is incident to vertex {v}")
@@ -307,8 +322,8 @@ def edge_separation_step(g: MultiGraph, cut: tuple[int, int]) -> tuple[MultiGrap
     two ids.
     """
     e1, e2 = cut
-    _check_edge(g, e1, "e1")
-    _check_edge(g, e2, "e2")
+    check_edge(g.m, e1, "e1")
+    check_edge(g.m, e2, "e2")
     if e1 == e2:
         raise NotATwoCutError("the two cut edges must be distinct")
     a1, b1 = g.endpoints(e1)

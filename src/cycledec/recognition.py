@@ -583,8 +583,21 @@ def replay_trace(trace: DecompositionTrace) -> MultiGraph:
     forest, so an undo touches no edge but its own three, and an edge end
     is resolved through the forest when it is read. Raises GraphError when
     the trace is inconsistent; otherwise the result is id-for-id the
-    original input.
+    original input. A trace without steps whose one component has the
+    input's size and identity ids is the input, and that component's graph
+    is returned as it is.
     """
+    if not trace.steps and len(trace.components) == 1:
+        comp = trace.components[0]
+        h = comp.graph
+        if ((h.n, h.m) == (trace.input_n, trace.input_m)
+                and comp.vertex_ids == tuple(range(h.n)) and comp.edge_ids == tuple(range(h.m))):
+            return h
+    return _undo_steps(trace)
+
+
+def _undo_steps(trace: DecompositionTrace) -> MultiGraph:
+    """replay_trace's union-find replay, for any trace."""
     merged_into: dict[int, int] = {}
 
     def current(x: int) -> int:

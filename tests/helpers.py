@@ -179,6 +179,46 @@ def small_eulerian_corpus(count: int, max_m: int = 16, max_n: int = 10) -> list[
     return out
 
 
+def operator_replay(script) -> cd.MultiGraph:
+    """Evaluate a construction script one public operator call at a time,
+    building a new graph per instruction: the reference for replay_script."""
+    stack: list[cd.MultiGraph] = []
+
+    def pop2() -> tuple[cd.MultiGraph, cd.MultiGraph]:
+        if len(stack) < 2:
+            raise cd.InvalidParamError("script pops from an empty stack")
+        g2 = stack.pop()
+        g1 = stack.pop()
+        return g1, g2
+
+    for instr in script:
+        op = instr[0]
+        if op == "M":
+            stack.append(cd.gen_eulerian_multiedge(instr[1]))
+        elif op == "N":
+            stack.append(cd.gen_closed_necklace(instr[1]))
+        elif op == "C":
+            stack.append(cd.gen_cycle(instr[1]))
+        elif op == "D":
+            if not stack:
+                raise cd.InvalidParamError("script pops from an empty stack")
+            stack.append(cd.subdivide_edge(stack.pop(), instr[1]))
+        elif op == "V":
+            g1, g2 = pop2()
+            stack.append(cd.vertex_identification(g1, instr[1], g2, instr[2])[0])
+        elif op == "E":
+            g1, g2 = pop2()
+            stack.append(cd.edge_identification(g1, instr[1], instr[2], g2, instr[3], instr[4])[0])
+        elif op == "X":
+            g1, g2 = pop2()
+            stack.append(cd.vertex_edge_identification(g1, instr[1], instr[2], g2, instr[3], instr[4])[0])
+        else:
+            raise cd.InvalidParamError(f"unknown instruction {op!r}")
+    if len(stack) != 1:
+        raise cd.InvalidParamError(f"script leaves {len(stack)} graphs on the stack")
+    return stack[0]
+
+
 def script_numbers(script) -> tuple[int, int]:
     """(c, nu) of a construction script's graph by the operator arithmetic:
     M k -> (k, k), N k -> (2, k), C k -> (1, 1); V adds, E and X add and

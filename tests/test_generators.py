@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import cycledec as cd
 from conftest import seeds
+from helpers import operator_replay
 
 
 class TestRng:
@@ -226,3 +227,151 @@ class TestScripts:
         g = cd.replay_script(script)
         assert (g.n, g.m) == (4, 8)
         assert cd.is_class_H(g)
+
+
+@st.composite
+def well_formed_scripts(draw, max_extra=8):
+    """Scripts that use all seven instructions, with anchors drawn against
+    the graphs the public operators build along the way."""
+    script: list[tuple] = []
+    stack: list[cd.MultiGraph] = []
+    leaves = {"M": cd.gen_eulerian_multiedge, "N": cd.gen_closed_necklace, "C": cd.gen_cycle}
+
+    def leaf(op):
+        k = draw(st.integers(1 if op == "M" else 2, 4))
+        script.append((op, k))
+        stack.append(leaves[op](k))
+
+    def anchor(g):
+        e = draw(st.integers(0, g.m - 1))
+        return e, draw(st.sampled_from(g.endpoints(e)))
+
+    def binary(op):
+        while len(stack) < 2:
+            leaf(draw(st.sampled_from("MNC")))
+        g2 = stack.pop()
+        g1 = stack.pop()
+        if op == "V":
+            u1, u2 = draw(st.integers(0, g1.n - 1)), draw(st.integers(0, g2.n - 1))
+            script.append(("V", u1, u2))
+            stack.append(cd.vertex_identification(g1, u1, g2, u2)[0])
+            return
+        (e1, u1), (e2, u2) = anchor(g1), anchor(g2)
+        script.append((op, e1, u1, e2, u2))
+        apply = cd.edge_identification if op == "E" else cd.vertex_edge_identification
+        stack.append(apply(g1, e1, u1, g2, e2, u2)[0])
+
+    ops = list(draw(st.permutations("MNCDVEX")))
+    ops += draw(st.lists(st.sampled_from("MNCDVEX"), max_size=max_extra))
+    for op in ops:
+        if op in leaves:
+            leaf(op)
+        elif op == "D":
+            if not stack:
+                leaf(draw(st.sampled_from("MNC")))
+            e = draw(st.integers(0, stack[-1].m - 1))
+            script.append(("D", e))
+            stack.append(cd.subdivide_edge(stack.pop(), e))
+        else:
+            binary(op)
+    while len(stack) > 1:
+        binary(draw(st.sampled_from("VEX")))
+    return tuple(script)
+
+
+# malformed scripts and the error the public operators raise on them
+MALFORMED = [
+    pytest.param([("M", 0)], cd.InvalidParamError, "k=0, need at least one edge pair", id="k-M"),
+    pytest.param([("M", -2)], cd.InvalidParamError, "k=-2, need at least one edge pair", id="k-M-negative"),
+    pytest.param([("N", 1)], cd.InvalidParamError, "k=1, a closed necklace needs at least two vertices", id="k-N"),
+    pytest.param([("C", 1)], cd.InvalidParamError, "k=1, a cycle needs at least two vertices", id="k-C"),
+    pytest.param([("C", 3), ("D", 3)], cd.InvalidParamError, "e=3 out of range for m=3", id="e-D"),
+    pytest.param([("C", 3), ("D", -1)], cd.InvalidParamError, "e=-1 out of range for m=3", id="e-D-negative"),
+    pytest.param([("M", 1), ("M", 1), ("E", 2, 0, 0, 0)], cd.InvalidParamError, "e1=2 out of range for m=2",
+                 id="e1-E"),
+    pytest.param([("M", 1), ("C", 3), ("X", 0, 0, 3, 0)], cd.InvalidParamError, "e2=3 out of range for m=3",
+                 id="e2-X"),
+    pytest.param([("M", 1), ("C", 3), ("V", 2, 0)], cd.InvalidVertexError, "u1=2 out of range for n=2", id="u1-V"),
+    pytest.param([("M", 1), ("C", 3), ("V", 0, 3)], cd.InvalidVertexError, "u2=3 out of range for n=3", id="u2-V"),
+    pytest.param([("C", 3), ("C", 3), ("E", 0, 2, 0, 0)], cd.NotAnEndpointError,
+                 "u1=2 is not an endpoint of edge 0", id="anchor-u1-E"),
+    pytest.param([("C", 3), ("C", 3), ("X", 0, 0, 0, 2)], cd.NotAnEndpointError,
+                 "u2=2 is not an endpoint of edge 0", id="anchor-u2-X"),
+    pytest.param([("M", 1), ("V", 0, 0)], cd.InvalidParamError, "script pops from an empty stack", id="underflow-V"),
+    pytest.param([("D", 0)], cd.InvalidParamError, "script pops from an empty stack", id="underflow-D"),
+    pytest.param([("E", 0, 0, 0, 0)], cd.InvalidParamError, "script pops from an empty stack", id="underflow-E"),
+    pytest.param([("M", 1), ("X", 0, 0, 0, 0)], cd.InvalidParamError, "script pops from an empty stack",
+                 id="underflow-X"),
+    pytest.param([("M", 1), ("M", 1)], cd.InvalidParamError, "script leaves 2 graphs on the stack", id="leftovers"),
+    pytest.param([], cd.InvalidParamError, "script leaves 0 graphs on the stack", id="empty"),
+    pytest.param([("M", 1), ("Q", 1)], cd.InvalidParamError, "unknown instruction 'Q'", id="unknown"),
+]
+
+
+class TestReplayFastPath:
+    """replay_script runs the stack machine on the operators' in-place core;
+    operator_replay, one public operator call per instruction, is its
+    reference."""
+
+    @pytest.mark.parametrize("n, seed_list", [(2, (0, 1)), (3, (0, 1)), (10, (0, 11)), (200, (0, 11)),
+                                              (2000, (11,)), (16000, (11,))])
+    def test_class_G_scripts_match_the_reference(self, n, seed_list):
+        for seed in seed_list:
+            for leaf in (1, 3):
+                g, script = cd.gen_class_G(n, seed, max_leaf=leaf)
+                fast = cd.replay_script(script)
+                assert fast == operator_replay(script) == g
+
+    @given(well_formed_scripts())
+    def test_drawn_scripts_match_the_reference(self, script):
+        assert cd.replay_script(script) == operator_replay(script)
+
+    @pytest.mark.parametrize("script, error, message", MALFORMED)
+    def test_malformed_scripts_fail_as_the_reference(self, script, error, message):
+        with pytest.raises(cd.GraphError) as ref:
+            operator_replay(script)
+        with pytest.raises(cd.GraphError) as fast:
+            cd.replay_script(tuple(script))
+        for exc in (ref, fast):
+            assert type(exc.value) is error and str(exc.value) == message
+
+    def test_builds_one_graph(self, monkeypatch):
+        _, script = cd.gen_class_G(501, 3)
+        script += (("D", 0),)
+        assert len(script) == 1000
+        built = []
+        init = cd.MultiGraph.__init__
+
+        def counting_init(self, n, edges):
+            built.append(n)
+            init(self, n, edges)
+
+        monkeypatch.setattr(cd.MultiGraph, "__init__", counting_init)
+        g = cd.replay_script(script)
+        assert len(built) == 1
+        built.clear()
+        assert operator_replay(script) == g
+        assert len(built) >= len(script)
+
+    def test_oversized_leaves_are_refused(self):
+        budget = cd.multigraph.MAX_VERTICES
+        for leaf, k in (("M", budget // 2 + 1), ("N", budget // 2 + 1), ("C", budget + 1)):
+            with pytest.raises(cd.TooLargeError, match=f"instruction 2: .*over the budget {budget}"):
+                cd.replay_script((("C", 3), (leaf, k)))
+
+    def test_budget_counts_the_whole_stack(self, monkeypatch):
+        monkeypatch.setattr(cd.generators, "MAX_VERTICES", 100)
+        # X merges a vertex and drops an edge, so D fits exactly
+        g = cd.replay_script((("C", 50), ("C", 50), ("X", 0, 0, 0, 0), ("D", 0)))
+        assert (g.n, g.m) == (100, 100)
+        over = [
+            ([("C", 50), ("C", 51)], "instruction 2: the stack would hold 101 vertices and 101 edges"),
+            ([("M", 50), ("M", 1)], "instruction 2: the stack would hold 4 vertices and 102 edges"),
+            ([("C", 50), ("C", 50), ("V", 0, 0), ("D", 0)],
+             "instruction 4: the stack would hold 100 vertices and 101 edges"),
+            ([("C", 50), ("C", 50), ("E", 0, 0, 0, 0), ("D", 0)],
+             "instruction 4: the stack would hold 101 vertices and 101 edges"),
+        ]
+        for script, message in over:
+            with pytest.raises(cd.TooLargeError, match=message):
+                cd.replay_script(tuple(script))

@@ -386,6 +386,24 @@ class TestReplay:
             final, trace = cd.ve_components(h)
             assert cd.replay_trace(trace) == h
 
+    def test_zero_step_traces_match_the_union_find_replay(self):
+        zero_step = 0
+        for n in (2, 5, 16, 60, 400, 2000):
+            for seed in (0, 7):
+                graphs = (cd.gen_class_G(n, seed)[0], cd.gen_class_G(n, seed, max_leaf=1)[0],
+                          cd.gen_class_H_prime(n, seed))
+                for g in graphs:
+                    for block in cd.blocks(g).blocks:
+                        if block.graph.m == 0:
+                            continue
+                        _, trace = cd.ve_components(block.graph)
+                        if trace.steps:
+                            continue
+                        zero_step += 1
+                        assert cd.replay_trace(trace) is trace.components[0].graph
+                        assert recognition._undo_steps(trace) == block.graph == cd.replay_trace(trace)
+        assert zero_step > 1000
+
     def test_replay_with_randomized_order(self):
         g = cd.gen_cycle(9)
         for seed in range(6):
