@@ -19,7 +19,9 @@ in place on [n, edge list] pairs and build one MultiGraph at the end,
 sidestepping the quadratic cost of rebuilding an immutable graph per
 application. replay_script runs the public operators' own check functions,
 so a bad script fails with the error they would raise, and a good one
-yields the graph they would build, id for id.
+yields the graph they would build, id for id. Every generator and
+replay_script raise TooLargeError, before allocating, where the graph could
+have more than multigraph.MAX_VERTICES vertices or edges.
 """
 
 from __future__ import annotations
@@ -71,21 +73,33 @@ def _check_leaf(op: str, k: int) -> None:
         raise InvalidParamError(f"k={k}, {why}")
 
 
+def _check_budget(n: int, m: int, what: str, instruction: int = -1) -> None:
+    """Raise TooLargeError when n vertices or m edges would pass
+    multigraph.MAX_VERTICES; `what` opens the message, after the script
+    instruction's index when one is given."""
+    if n > MAX_VERTICES or m > MAX_VERTICES:
+        where = "" if instruction < 0 else f"instruction {instruction}: "
+        raise TooLargeError(f"{where}{what} {n} vertices and {m} edges, over the budget {MAX_VERTICES}")
+
+
 def gen_eulerian_multiedge(k: int) -> MultiGraph:
     """Two vertices joined by 2k parallel edges."""
     _check_leaf("M", k)
+    _check_budget(2, 2 * k, "the graph would hold")
     return MultiGraph(*_multiedge(k))
 
 
 def gen_cycle(k: int) -> MultiGraph:
     """The cycle on k vertices; k = 2 is a parallel pair."""
     _check_leaf("C", k)
+    _check_budget(k, k, "the graph would hold")
     return MultiGraph(*_cycle(k))
 
 
 def gen_closed_necklace(k: int) -> MultiGraph:
     """The cycle on k vertices with every edge doubled."""
     _check_leaf("N", k)
+    _check_budget(k, 2 * k, "the graph would hold")
     return MultiGraph(*_necklace(k))
 
 
@@ -112,6 +126,7 @@ def gen_class_G(target_n: int, seed: int, max_leaf: int = 3) -> tuple[MultiGraph
         raise InvalidParamError(f"target_n={target_n}, need at least two vertices")
     if max_leaf < 1:
         raise InvalidParamError(f"max_leaf={max_leaf}, need at least one pair")
+    _check_budget(target_n, 2 * max_leaf * (target_n - 1), "the graph could hold")
     rng = Rng(seed)
     # phase 1: pre-order size plan. node = ["M", k] or [kind, left, right].
     nodes: list[list] = []
@@ -172,6 +187,7 @@ def gen_class_H(target_n: int, seed: int) -> MultiGraph:
     """
     if target_n < 2:
         raise InvalidParamError(f"target_n={target_n}, need at least two vertices")
+    _check_budget(target_n, 2 * target_n, "the graph would hold")
     rng = Rng(seed)
     nodes: list[list] = []
     pending = [(target_n, -1, 0)]
@@ -222,6 +238,7 @@ def gen_class_H_prime(target_n: int, seed: int) -> MultiGraph:
     """
     if target_n < 1:
         raise InvalidParamError(f"target_n={target_n}, need at least one vertex")
+    _check_budget(target_n, 2 * target_n, "the graph could hold")
     if target_n == 1:
         return MultiGraph(1, [])
     rng = Rng(seed)
@@ -265,11 +282,12 @@ def gen_class_H_prime(target_n: int, seed: int) -> MultiGraph:
 def gen_random_eulerian(n: int, extra_cycles: int, seed: int) -> MultiGraph:
     """Connected even graph: a spanning cycle through a shuffled vertex
     order plus extra_cycles short random cycles. extra_cycles = 0 gives a
-    plain (relabeled) cycle."""
+    plain (relabeled) cycle. Each extra cycle has at most 6 edges."""
     if n < 1:
         raise InvalidParamError(f"n={n}, need at least one vertex")
     if extra_cycles < 0:
         raise InvalidParamError(f"extra_cycles={extra_cycles} must not be negative")
+    _check_budget(n, n + 6 * extra_cycles, "the graph could hold")
     if n == 1:
         return MultiGraph(1, [])
     rng = Rng(seed)
@@ -316,12 +334,6 @@ def parse_script(text: str) -> tuple:
     return tuple(out)
 
 
-def _check_budget(i: int, n: int, m: int) -> None:
-    if n > MAX_VERTICES or m > MAX_VERTICES:
-        raise TooLargeError(f"instruction {i}: the stack would hold {n} vertices and {m} edges, "
-                            f"over the budget {MAX_VERTICES}")
-
-
 def replay_script(script: tuple) -> MultiGraph:
     """Evaluate a construction script and return its graph.
 
@@ -341,7 +353,7 @@ def replay_script(script: tuple) -> MultiGraph:
             _check_leaf(op, k)
             total_n += 2 if op == "M" else k
             total_m += k if op == "C" else 2 * k
-            _check_budget(i, total_n, total_m)
+            _check_budget(total_n, total_m, "the stack would hold", i)
             stack.append(_LEAVES[op][0](k))
         elif op == "D":
             if not stack:
@@ -349,7 +361,7 @@ def replay_script(script: tuple) -> MultiGraph:
             check_edge(len(stack[-1][1]), instr[1], "e")
             total_n += 1
             total_m += 1
-            _check_budget(i, total_n, total_m)
+            _check_budget(total_n, total_m, "the stack would hold", i)
             _subdivide(stack[-1], instr[1])
         elif op in ("V", "E", "X"):
             if len(stack) < 2:

@@ -33,10 +33,19 @@ DEFAULT_CYCLE_CAP = 10**6
 # deepest recursion of the cycle walk and of the subset search; the two nest,
 # so together they stay well below the interpreter's default limit of 1000
 MAX_SEARCH_DEPTH = 250
+# most memo entries and listed cycles that the subset search holds at once,
+# a few hundred bytes each; graphs within the default edge budget peak
+# near 1.5 * 10**5
+MAX_SEARCH_STATES = 10**6
 
 
 def _too_deep(what: str) -> TooLargeError:
     return TooLargeError(f"{what} deeper than {MAX_SEARCH_DEPTH} levels; the graph is too large for exhaustive search")
+
+
+def _too_many() -> TooLargeError:
+    return TooLargeError(f"more than {MAX_SEARCH_STATES} memo entries and listed cycles; "
+                         "the graph is too large for exhaustive search")
 
 
 def _incidence(g: MultiGraph) -> list[list[tuple[int, int, int, int]]]:
@@ -50,23 +59,32 @@ def _incidence(g: MultiGraph) -> list[list[tuple[int, int, int, int]]]:
     return inc
 
 
-def _cycles_through(inc: list, rem: int, e0: int, a: int, b: int) -> list[tuple[int, int]]:
+def _cycles_through(inc: list, rem: int, e0: int, a: int, b: int,
+                    room: int = -1) -> list[tuple[int, int]]:
     """All simple cycles through edge e0 = ab using only edges whose bit is set in rem.
 
     Returns (edge mask, vertex mask) pairs in walk order: depth first from
     b, edges in ascending id order at every vertex. Each cycle appears
     exactly once because vertices never repeat and the start edge is fixed.
+    With room >= 0, the subset search's _too_many is raised as soon as
+    there are more than room of them.
     """
     out: list[tuple[int, int]] = []
     cap = MAX_SEARCH_DEPTH
+    # counts down to 0 at cycle room + 1; from -1 it never gets there
+    left = room + 1
 
     def walk(x: int, avail: int, seen: int, depth: int) -> None:
+        nonlocal left
         # avail: edges of rem not on the path yet, so rem ^ avail is the path
         for bit, w, wbit, _ in inc[x]:
             if not avail & bit:
                 continue
             if w == a:
                 out.append((rem ^ avail ^ bit, seen))
+                left -= 1
+                if not left:
+                    raise _too_many()
                 continue
             if seen & wbit:
                 continue
@@ -108,7 +126,9 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
     union of cycles (in particular every connected even graph) decomposes,
     so the search never dead-ends. Exponential in m, hence the budget. The
     memo keeps each subset's chosen cycles, and both witnesses are unwound
-    from it once the search is done.
+    from it once the search is done. TooLargeError is raised before the
+    memo and the cycles listed by the open branchings together pass
+    MAX_SEARCH_STATES entries.
     """
     if g.m > edge_limit:
         raise TooLargeError(f"m={g.m} exceeds the edge budget {edge_limit}")
@@ -122,8 +142,11 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
     ends = tuple(g.edges())
     # rem -> (c, nu, cycle mask of the minimum branch, of the maximum branch)
     memo: dict[int, tuple[int, int, int, int]] = {}
+    # cycles listed by the branchings still open
+    held = 0
 
     def solve(rem: int, depth: int) -> tuple[int, int, int, int]:
+        nonlocal held
         hit = memo.get(rem)
         if hit is not None:
             return hit
@@ -132,8 +155,10 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
         e0 = (rem & -rem).bit_length() - 1
         a, b = ends[e0]
         best = None
-        for cmask, _ in _cycles_through(inc, rem, e0, a, b):
-            rest = rem & ~cmask
+        cycles = _cycles_through(inc, rem, e0, a, b, MAX_SEARCH_STATES - len(memo) - held)
+        held += len(cycles)
+        for cmask, _ in cycles:
+            rest = rem ^ cmask  # the cycle lies in rem
             if rest:
                 c2, n2, _, _ = solve(rest, depth + 1)
             else:
@@ -148,6 +173,7 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
                     best[1] = 1 + n2
                     best[3] = cmask
         assert best is not None, "even residual graph must contain a cycle"
+        held -= len(cycles)
         res = (best[0], best[1], best[2], best[3])
         memo[rem] = res
         return res

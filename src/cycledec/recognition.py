@@ -8,38 +8,46 @@ identification there; both halves stay even and biconnected, so the process
 needs no global restarts and finishes in at most n - 2 steps per block.
 
 The mutable working graph keeps every vertex id ever created and never
-reuses edge ids, which makes traces exactly replayable.
+reuses edge ids, which makes traces exactly replayable. It also keeps a
+component map: one walk names the components of the input, and each step
+gives the half that its probe named a new id, so the final components are
+read off the map without walking again.
 
 A probe at v asks for the smallest-id bridge of K - v, where K is the
-component of v (Pritchard & Thurimella, "Fast computation of small cuts via
-cycle space sampling", ACM TALG 2011, give the labels used to answer it
-without a walk). Each edge carries a 64-bit label: along a spanning tree,
-non-tree edges take a fixed hash of their id and a tree edge the XOR of the
-labels of the non-tree edges that close a cycle through it. The labels at
-every vertex then XOR to 0, so the labels of every cut δ(X) XOR to 0.
+component of v. Both ways of answering it use cycle-space labels
+(Pritchard & Thurimella, "Fast computation of small cuts via cycle space
+sampling", ACM TALG 2011). Along a spanning tree, each non-tree edge takes
+a fixed 64-bit hash of its id and each tree edge the XOR of the labels of
+the non-tree edges that close a cycle through it. The labels at every
+vertex then XOR to 0, so the labels of every cut δ(X) XOR to 0.
 
-* Soundness. If e is a bridge of K - v with side X, then δ(X) in K is e
-  plus some edges D at v, so label(e) is the XOR of label(D): every bridge
-  has a label in the span of the labels at v. A probe that finds no edge
-  away from v with such a label is an exact null. The smallest-id
-  candidate is a bridge unless labels collide, which a walk from both of
-  its ends confirms or refutes; a refuted candidate falls back to the
-  lowpoint walk. The labels only decide how fast an answer comes, never
-  which answer, so traces do not depend on them.
+* Fallback. Labelled along a tree of K - v itself, a bridge e of K - v is
+  a cut on its own: its side X has no other edge leaving it, no non-tree
+  edge crosses, and label(e) is 0. So the zero-label edges hold every
+  bridge, and the first of them in id order that a walk from both of its
+  ends confirms is the answer. A collision costs a walk, never the answer.
+* Block labels. Labelled once along a tree of K, with v in it: if e is a
+  bridge of K - v with side X, then δ(X) in K is e plus some edges D at
+  v, so label(e) is the XOR of label(D), and every bridge has a label in
+  the span of the labels at v. A probe that finds no edge away from v
+  with such a label is an exact null; the smallest-id candidate is
+  confirmed by the same walk, and a refuted one goes to the fallback.
+  The labels only decide how fast an answer comes, never which answer,
+  so traces do not depend on them.
 * Split invariant. A step deletes the bridge e*, splits v into v1 and v2
   and adds f1 = u1v1 and f2 = u2v2, both labelled label(e*). The labels at
   v towards X XOR to label(e*) (the cut δ(X) above), so the labels at v1,
   at v2, at u1 and at u2 still XOR to 0, and every other vertex keeps its
-  edges: no label ever changes. One half gets a new component id and
-  takes its edges out of the old component's label buckets; when the
-  labels found e*, it is the half that the walk from both ends of e*
-  exhausted first, the smaller one, so an edge moves O(log m) times.
-* Cost rule. A probe looks up the 2**rank sums of the labels at v only
-  while that is fewer than the edges of K - v that a walk would cross;
-  otherwise it walks. A block builds its labels on the first probe that
-  the rule admits, so blocks too small for it never build them. Before
-  the labels exist the rank is unknown, so the rule counts all 2**deg(v)
-  subsets of the edges at v, against the live edges of the whole graph.
+  edges: no block label ever changes. The confirming walk stops at the
+  side it exhausts first, the smaller one; that half takes the new
+  component id and its edges leave the old component's label buckets, so
+  an edge moves O(log m) times.
+* Cost rule. A probe looks up the 2**rank sums of the block labels at v
+  only while that is fewer than the edges of K - v that a walk would
+  cross; otherwise it takes the fallback. The working graph builds its
+  block labels on the first probe that the rule admits, so blocks too
+  small for it never build them. Before the labels exist the rank is
+  unknown, so the rule counts all 2**deg(v) subsets of the edges at v.
 
 The yes/no verdict and the numbers take a shorter route that builds no
 trace: the series-parallel tables of oracle.series_parallel_numbers answer
@@ -131,14 +139,19 @@ class _WorkGraph:
     """Append-only adjacency: adj[v] maps edge id to the other endpoint.
 
     Deleted edges keep their slot in `endpoints` as None so ids stay stable.
-    `final` is set when every edge of the input has a parallel copy: the
-    edge of a vertex-edge separator is a bridge of the graph minus a
-    vertex, and a parallel copy survives that deletion, so no probe can
-    hit and the graph stays as it is. `labels` stays None until the first
-    probe that the cost rule admits builds them.
+    `comp[x]` is vertex x's component and `size[c]` component c's edge
+    count; one walk sets them and every split updates them. `final` is set
+    when every edge of the input has a parallel copy: the edge of a
+    vertex-edge separator is a bridge of the graph minus a vertex, and a
+    parallel copy survives that deletion, so no probe can hit and the graph
+    stays as it is. `label[e]` is edge e's cycle-space label and
+    `buckets[c]` component c's map from a label to the ascending ids of the
+    edges that carry it, or None for a component whose probes can never
+    pass the cost rule; both stay None until the first probe that the cost
+    rule admits builds them.
     """
 
-    __slots__ = ("adj", "endpoints", "final", "labels")
+    __slots__ = ("adj", "endpoints", "final", "comp", "size", "label", "buckets")
 
     def __init__(self, g: MultiGraph) -> None:
         self.adj: list[dict[int, int]] = [{} for _ in range(g.n)]
@@ -150,67 +163,22 @@ class _WorkGraph:
             self.endpoints.append((u, v))
         pairs = Counter((u, v) if u < v else (v, u) for u, v in self.endpoints)
         self.final = 1 not in pairs.values()
-        self.labels: Optional[_Labels] = None
-
-
-class _Labels:
-    """Cycle-space labels of a working graph, kept through its splits.
-
-    `label[e]` is edge e's label, `comp[x]` vertex x's component, and
-    `size[c]` and `buckets[c]` component c's edge count and its map from a
-    label to the ascending ids of the edges that carry it. `buckets[c]` is
-    None for a component whose probes can never pass the cost rule.
-    """
-
-    __slots__ = ("label", "comp", "size", "buckets")
-
-    def __init__(self, work: _WorkGraph) -> None:
-        """Per component, a BFS tree: each non-tree edge gets _edge_label of
-        its id and each tree edge the XOR of the non-tree labels at the
-        vertices of the subtree below it. The labels at every vertex then
-        XOR to 0."""
-        adj, endpoints = work.adj, work.endpoints
-        n = len(adj)
-        self.comp = comp = [-1] * n
+        self.comp = comp = [-1] * g.n
         self.size: list[int] = []
-        self.buckets: list[Optional[dict[int, list[int]]]] = []
-        up = [-1] * n
-        order: list[int] = []
-        for r in range(n):
+        for r in range(g.n):
             if comp[r] >= 0:
                 continue
             c = len(self.size)
             comp[r] = c
             part = [r]
             for x in part:
-                for e, w in adj[x].items():
+                for w in self.adj[x].values():
                     if comp[w] < 0:
                         comp[w] = c
-                        up[w] = e
                         part.append(w)
-            order += part
-            self.size.append(0)
-            self.buckets.append({})
-        self.label = label = [0] * len(endpoints)
-        acc = [0] * n
-        for e, ends in enumerate(endpoints):
-            if ends is not None:
-                a, b = ends
-                if up[a] != e and up[b] != e:
-                    label[e] = h = _edge_label(e)
-                    acc[a] ^= h
-                    acc[b] ^= h
-        for x in reversed(order):
-            e = up[x]
-            if e >= 0:
-                label[e] = acc[x]
-                a, b = endpoints[e]
-                acc[b if a == x else a] ^= acc[x]
-        for e, ends in enumerate(endpoints):
-            if ends is not None:
-                c = comp[ends[0]]
-                self.size[c] += 1
-                self.buckets[c].setdefault(label[e], []).append(e)
+            self.size.append(sum(len(self.adj[x]) for x in part) // 2)
+        self.label: Optional[list[int]] = None
+        self.buckets: Optional[list[Optional[dict[int, list[int]]]]] = None
 
 
 _MASK64 = (1 << 64) - 1
@@ -228,48 +196,51 @@ def _labels_pay(rank: int, edges: int) -> bool:
     return (1 << rank) < edges
 
 
-def _component_bridges(adj: list[dict[int, int]], skip: int, root: int):
-    """Bridges of the component of root in the graph minus vertex skip.
+def _tree_labels(adj: list[dict[int, int]], root: int, skip: int) -> dict[int, int]:
+    """Cycle-space labels of the component of root in the graph minus skip.
 
-    Iterative lowpoint scan. Returns (bridges, disc, tout) where each bridge
-    is (edge id, parent endpoint, child endpoint) and disc/tout give the DFS
-    interval of every visited vertex, so `disc[c] <= disc[w] < tout[c]`
-    tests membership in the subtree hanging off a bridge's child side.
+    Along a BFS tree, each non-tree edge gets _edge_label of its id and each
+    tree edge the XOR of the non-tree labels at the vertices below it. The
+    labels at every vertex then XOR to 0, and so do those of every cut; a
+    bridge is a cut on its own, so its label is 0. Returns edge id -> label.
     """
-    disc: dict[int, int] = {root: 0}
-    tout: dict[int, int] = {}
-    low = {root: 0}
-    clock = 1
-    bridges: list[tuple[int, int, int]] = []
-    # frame: (vertex, edge taken to enter, iterator over adj items)
-    stack = [(root, -1, iter(adj[root].items()))]
-    while stack:
-        x, pe, it = stack[-1]
-        advanced = False
-        for e, w in it:
-            if e == pe or w == skip:
+    up = {root: -1}
+    acc = {root: 0}
+    label: dict[int, int] = {}
+    order = [root]
+    for x in order:
+        for e, w in adj[x].items():
+            if w == skip:
                 continue
-            dw = disc.get(w)
-            if dw is None:
-                disc[w] = low[w] = clock
-                clock += 1
-                stack.append((w, e, iter(adj[w].items())))
-                advanced = True
-                break
-            if dw < low[x]:
-                low[x] = dw
-        if advanced:
-            continue
-        stack.pop()
-        tout[x] = clock
-        clock += 1
-        if stack:
-            p = stack[-1][0]
-            if low[x] > disc[p]:
-                bridges.append((pe, p, x))
-            if low[x] < low[p]:
-                low[p] = low[x]
-    return bridges, disc, tout
+            if w not in up:
+                up[w] = e
+                acc[w] = 0
+                order.append(w)
+            elif e != up[x] and e not in label:
+                label[e] = h = _edge_label(e)
+                acc[x] ^= h
+                acc[w] ^= h
+    for x in reversed(order):
+        e = up[x]
+        if e >= 0:
+            label[e] = h = acc[x]
+            acc[adj[x][e]] ^= h
+    return label
+
+
+def _build_labels(work: _WorkGraph) -> None:
+    """Label every component of the working graph and bucket its edges."""
+    work.label = label = [0] * len(work.endpoints)
+    roots: dict[int, int] = {}
+    for x, c in enumerate(work.comp):
+        roots.setdefault(c, x)
+    for r in roots.values():
+        for e, h in _tree_labels(work.adj, r, -1).items():
+            label[e] = h
+    work.buckets = buckets = [{} for _ in work.size]
+    for e, ends in enumerate(work.endpoints):
+        if ends is not None:
+            buckets[work.comp[ends[0]]].setdefault(label[e], []).append(e)
 
 
 def _smaller_side(adj: list[dict[int, int]], skip: int, e: int, a: int, b: int):
@@ -295,23 +266,17 @@ def _smaller_side(adj: list[dict[int, int]], skip: int, e: int, a: int, b: int):
     return sides[s], s == 1
 
 
-def _label_candidate(labels: _Labels, v: int, adjv: dict[int, int]):
+def _label_candidate(work: _WorkGraph, v: int, adjv: dict[int, int], away: int):
     """Smallest-id edge away from v whose label is a sum of labels at v.
 
     Returns -1 when there is none, and None when the labels do not pay at
-    v: their span has 2**rank sums, not fewer than the edges of the
+    v: their span has 2**rank sums, not fewer than the `away` edges of the
     component away from v.
     """
-    label = labels.label
-    c = labels.comp[v]
-    edges = labels.size[c]
-    if len(adjv) == edges:
-        # every edge of the component is at v, so none is left to cut
-        return -1
-    buckets = labels.buckets[c]
+    buckets = work.buckets[work.comp[v]]
     if buckets is None:
         return None
-    away = edges - len(adjv)
+    label = work.label
     # the labels at v XOR to 0, so the last one adds nothing to the span;
     # pivots maps a leading bit to the basis vector that has it
     pivots: dict[int, int] = {}
@@ -349,29 +314,29 @@ def _probe(work: _WorkGraph, v: int):
     Returns None when v's neighbourhood leaves nothing behind, the graph
     is final as it stands, or the punctured component has no bridge;
     otherwise (bridge, side, side_is_u2) where side is the vertex set of
-    one side of the bridge in the component minus v, and side_is_u2 says
-    whether it holds the bridge's second stored endpoint.
+    the smaller side of the bridge in the component minus v, and
+    side_is_u2 says whether it holds the bridge's second stored endpoint.
 
     Every bridge of the component minus v has a label in the span of the
-    labels at v (see the module docstring), so where the labels pay, an
+    block labels at v (see the module docstring), so where those pay, an
     empty candidate set is an exact null and the smallest candidate, once
     a walk from its two ends confirms it, is the smallest bridge. A label
     collision or a vertex where the labels do not pay falls back to the
-    lowpoint scan, whose DFS root is v's smallest neighbour; the bridge set
-    does not depend on that choice.
+    tree labels of the component minus v, taken from v's smallest
+    neighbour, where every bridge has label 0: the first zero-label edge
+    in id order that a walk confirms is the answer.
     """
     adjv = work.adj[v]
     if not adjv or work.final:
         return None
-    root = min(adjv.values())
-    if root == v:
-        raise GraphError("loop edge in working graph")
-    if work.labels is None:
-        live = len(work.endpoints) - work.endpoints.count(None)
-        if _labels_pay(len(adjv), live - len(adjv)):
-            work.labels = _Labels(work)
-    if work.labels is not None:
-        e = _label_candidate(work.labels, v, adjv)
+    away = work.size[work.comp[v]] - len(adjv)
+    if not away:
+        # every edge of the component is at v, so none is left to cut
+        return None
+    if work.label is None and _labels_pay(len(adjv), away):
+        _build_labels(work)
+    if work.label is not None:
+        e = _label_candidate(work, v, adjv, away)
         if e == -1:
             return None
         if e is not None:
@@ -379,12 +344,13 @@ def _probe(work: _WorkGraph, v: int):
             found = _smaller_side(work.adj, v, e, a, b)
             if found is not None:
                 return e, found[0], found[1]
-    bridges, disc, tout = _component_bridges(work.adj, v, root)
-    if not bridges:
-        return None
-    e, _p, c = min(bridges)
-    lo, hi = disc[c], tout[c]
-    return e, {w for w, d in disc.items() if lo <= d < hi}, c == work.endpoints[e][1]
+    label = _tree_labels(work.adj, min(adjv.values()), v)
+    for e in sorted(e for e, h in label.items() if not h):
+        a, b = work.endpoints[e]
+        found = _smaller_side(work.adj, v, e, a, b)
+        if found is not None:
+            return e, found[0], found[1]
+    return None
 
 
 def _apply(work: _WorkGraph, v: int, probe) -> VeStep:
@@ -412,11 +378,10 @@ def _apply(work: _WorkGraph, v: int, probe) -> VeStep:
         work.endpoints[e] = (v2, b) if a == v else (a, v2)
     f1 = len(work.endpoints)
     f2 = f1 + 1
-    if work.labels is not None:
-        if side_is_u2:
-            _split_labels(work.labels, adj, v, e_star, side, v2, f2, f1)
-        else:
-            _split_labels(work.labels, adj, v, e_star, side, v, f1, f2)
+    if side_is_u2:
+        _split_component(work, v, e_star, side, v2, f2, f1)
+    else:
+        _split_component(work, v, e_star, side, v, f1, f2)
     work.endpoints.append((u1, v))
     adj[u1][f1] = v
     adjv[f1] = u1
@@ -426,30 +391,35 @@ def _apply(work: _WorkGraph, v: int, probe) -> VeStep:
     return VeStep(vertex=v, edge=e_star, u1=u1, u2=u2, v1=v, v2=v2, f1=f1, f2=f2)
 
 
-def _split_labels(labels: _Labels, adj: list[dict[int, int]], v: int, e_star: int,
-                  side: set[int], hub: int, f_new: int, f_old: int) -> None:
-    """Give one half of a split its own component and buckets.
+def _split_component(work: _WorkGraph, v: int, e_star: int, side: set[int],
+                     hub: int, f_new: int, f_old: int) -> None:
+    """Give the half of a split that the probe named its own component.
 
     Runs once v's edges have moved and before the joining edges exist. The
     half is side plus hub, the copy of v on that side, and f_new is the
-    joining edge it gets; its edges leave the old component's buckets, and
-    f_old joins them. Both joining edges take e_star's label, which keeps
-    the labels at every vertex summing to 0.
+    joining edge it gets; f_old goes to the old component. With labels,
+    both joining edges take e_star's label, which keeps the labels at
+    every vertex summing to 0, and the half's edges leave the old
+    component's buckets.
     """
-    label, comp = labels.label, labels.comp
+    adj, comp, label = work.adj, work.comp, work.label
     c = comp[v]
-    lab = label[e_star]
-    label += (lab, lab)
+    new = len(work.size)
     comp.append(c)
-    new = len(labels.size)
     comp[hub] = new
-    edges = set(adj[hub])
     for x in side:
         comp[x] = new
-        edges.update(adj[x])
-    old = labels.buckets[c]
+    if label is not None:
+        lab = label[e_star]
+        label += (lab, lab)
+    # every edge at the half has both ends in it
+    half = (len(adj[hub]) + sum(len(adj[x]) for x in side)) // 2
+    old = None if work.buckets is None else work.buckets[c]
     buckets: Optional[dict[int, list[int]]] = None
     if old is not None:
+        edges = set(adj[hub])
+        for x in side:
+            edges.update(adj[x])
         for e in (e_star, *edges):
             bucket = old[label[e]]
             if len(bucket) == 1:
@@ -461,14 +431,15 @@ def _split_labels(labels: _Labels, adj: list[dict[int, int]], v: int, e_star: in
         # is at the probed vertex, nor of a half whose probes leave too few
         # edges away from the probed vertex to pass the rule; nor do the
         # halves it splits into
-        if len(side) > 1 and _labels_pay(1, len(edges) - 1):
+        if len(side) > 1 and _labels_pay(1, half - 1):
             buckets = {}
             for e in sorted(edges):
                 buckets.setdefault(label[e], []).append(e)
             buckets.setdefault(lab, []).append(f_new)
-    labels.size.append(len(edges) + 1)
-    labels.size[c] -= len(edges)
-    labels.buckets.append(buckets)
+    if work.buckets is not None:
+        work.buckets.append(buckets)
+    work.size.append(half + 1)
+    work.size[c] -= half
 
 
 def fused_bridge_probe(g: MultiGraph, v: int) -> Optional[int]:
@@ -535,36 +506,23 @@ def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[Mult
         pool.append(step.v1)
         pool.append(step.v2)
 
-    # the final components are built without the labels; dropping them
-    # first keeps the peak memory at the walk's
-    work.labels = None
+    # the final components are the component map's groups; dropping the
+    # labels first keeps the peak memory at the walk's
+    work.label = work.buckets = None
     endpoints = work.endpoints
     alive = tuple(e for e, ep in enumerate(endpoints) if ep is not None)
     final = MultiGraph(len(work.adj), [endpoints[e] for e in alive])
-
-    seen = bytearray(len(work.adj))
+    parts: dict[int, tuple[list[int], list[int]]] = {}
+    for x, c in enumerate(work.comp):
+        parts.setdefault(c, ([], []))[0].append(x)
+    for e in alive:
+        parts[work.comp[endpoints[e][0]]][1].append(e)
     components: list[Block] = []
-    for r in range(len(work.adj)):
-        if seen[r]:
-            continue
-        seen[r] = 1
-        comp = [r]
-        cursor = 0
-        while cursor < len(comp):
-            x = comp[cursor]
-            cursor += 1
-            for w in work.adj[x].values():
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-        comp.sort()
-        local = {w: i for i, w in enumerate(comp)}
-        eids = sorted({e for w in comp for e in work.adj[w]})
-        cgraph = MultiGraph(
-            len(comp),
-            [(local[endpoints[e][0]], local[endpoints[e][1]]) for e in eids],
-        )
-        components.append(Block(cgraph, tuple(comp), tuple(eids)))
+    for vids, eids in parts.values():
+        local = {w: i for i, w in enumerate(vids)}
+        ends = [endpoints[e] for e in eids]
+        cgraph = MultiGraph(len(vids), [(local[a], local[b]) for a, b in ends])
+        components.append(Block(cgraph, tuple(vids), tuple(eids)))
 
     trace = DecompositionTrace(
         input_n=g.n,

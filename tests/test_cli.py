@@ -10,7 +10,19 @@ import pytest
 import cycledec as cd
 from cycledec import recognition
 from cycledec.cli import main
-from cycledec.oracle import DEFAULT_EDGE_LIMIT, MAX_SEARCH_DEPTH
+from cycledec.oracle import DEFAULT_EDGE_LIMIT, MAX_SEARCH_DEPTH, MAX_SEARCH_STATES
+
+
+def run_capped(argv):
+    """Run the CLI in a child capped at 1 GiB of address space, so that an
+    allocation without bound fails there instead of exhausting memory."""
+    cap = 1 << 30
+    env = dict(os.environ, PYTHONPATH=str(Path(cd.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "cycledec.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
 
 
 def write_graph_file(tmp_path, name, g):
@@ -110,17 +122,10 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "decompose", "numbers", "oracle"])
     def test_huge_header_exits_three_before_allocating(self, tmp_path, command):
-        # runs in a child capped at 1 GiB of address space, so a parser that
-        # allocated per header vertex would fail here instead of exhausting memory
+        # a parser that allocated per header vertex would fail in the capped child
         path = tmp_path / "bomb.graph"
         path.write_text("p 1000000000000 0\n")
-        cap = 1 << 30
-        env = dict(os.environ, PYTHONPATH=str(Path(cd.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cycledec.cli", command, str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
+        proc = run_capped([command, str(path)])
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
@@ -209,6 +214,17 @@ class TestOracleCmd:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["oracle", "numbers"])
+    def test_search_state_cap_exit_three(self, tmp_path, command):
+        # n = 16, m = 71: the cycles through the first edge alone would
+        # exhaust the capped child before the search made one memo entry
+        path = write_graph_file(tmp_path, "dense.graph", cd.gen_random_eulerian(16, 14, 3))
+        proc = run_capped([command, "--edge-limit", "100", path])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: more than {MAX_SEARCH_STATES} memo entries and listed cycles; "
+                               "the graph is too large for exhaustive search\n")
+
     def test_depth_cap_clears_the_default_budget(self):
         # a walk or a search never nests deeper than the edge count
         assert MAX_SEARCH_DEPTH > DEFAULT_EDGE_LIMIT
@@ -287,6 +303,19 @@ class TestGenerate:
         fa = (tmp_path / "a" / "randomEulerian-9x2-s11.graph").read_bytes()
         fb = (tmp_path / "b" / "randomEulerian-9x2-s11.graph").read_bytes()
         assert fa == fb
+
+    @pytest.mark.parametrize("params", [
+        ["multiedge", "100000000000"], ["cycle", "300000000"], ["necklace", "300000000"],
+        ["classG", "300000000"], ["classH", "300000000"], ["classHprime", "300000000"],
+        ["randomEulerian", "10", "100000000000"],
+    ])
+    def test_oversized_requests_exit_three_before_allocating(self, tmp_path, params):
+        proc = run_capped(["generate", *params, "--out", str(tmp_path)])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: the graph ")
+        assert proc.stderr.endswith(f"edges, over the budget {cd.multigraph.MAX_VERTICES}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_params_exit_two(self, tmp_path, capsys):
         assert main(["generate", "multiedge", "0", "--out", str(tmp_path)]) == 2

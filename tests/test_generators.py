@@ -359,6 +359,42 @@ class TestReplayFastPath:
             with pytest.raises(cd.TooLargeError, match=f"instruction 2: .*over the budget {budget}"):
                 cd.replay_script((("C", 3), (leaf, k)))
 
+    def test_generators_refuse_oversized_requests(self, monkeypatch):
+        # each family is checked against the most vertices and edges it can
+        # produce, before anything is allocated
+        budget = cd.multigraph.MAX_VERTICES
+        with pytest.raises(cd.TooLargeError, match=f"2 vertices and 200000000000 edges, over the budget {budget}"):
+            cd.gen_eulerian_multiedge(10**11)
+        monkeypatch.setattr(cd.generators, "MAX_VERTICES", 100)
+        fits = [
+            lambda: cd.gen_eulerian_multiedge(50),
+            lambda: cd.gen_cycle(100),
+            lambda: cd.gen_closed_necklace(50),
+            lambda: cd.gen_class_G(17, 1),
+            lambda: cd.gen_class_G(51, 1, max_leaf=1),
+            lambda: cd.gen_class_H(50, 1),
+            lambda: cd.gen_class_H_prime(50, 1),
+            lambda: cd.gen_random_eulerian(10, 15, 1),
+        ]
+        for make in fits:
+            g = make()
+            g = g[0] if isinstance(g, tuple) else g
+            assert g.n <= 100 and g.m <= 100
+        over = [
+            (lambda: cd.gen_eulerian_multiedge(51), "would hold 2 vertices and 102 edges"),
+            (lambda: cd.gen_cycle(101), "would hold 101 vertices and 101 edges"),
+            (lambda: cd.gen_closed_necklace(51), "would hold 51 vertices and 102 edges"),
+            (lambda: cd.gen_class_G(18, 1), "could hold 18 vertices and 102 edges"),
+            (lambda: cd.gen_class_G(52, 1, max_leaf=1), "could hold 52 vertices and 102 edges"),
+            (lambda: cd.gen_class_H(51, 1), "would hold 51 vertices and 102 edges"),
+            (lambda: cd.gen_class_H_prime(51, 1), "could hold 51 vertices and 102 edges"),
+            (lambda: cd.gen_random_eulerian(10, 16, 1), "could hold 10 vertices and 106 edges"),
+            (lambda: cd.gen_random_eulerian(101, 0, 1), "could hold 101 vertices and 101 edges"),
+        ]
+        for make, message in over:
+            with pytest.raises(cd.TooLargeError, match=f"^the graph {message}, over the budget 100$"):
+                make()
+
     def test_budget_counts_the_whole_stack(self, monkeypatch):
         monkeypatch.setattr(cd.generators, "MAX_VERTICES", 100)
         # X merges a vertex and drops an edge, so D fits exactly

@@ -45,6 +45,25 @@ class TestCycleNumbers:
         res = cd.oracle_cycle_numbers(cd.gen_cycle(26), edge_limit=26)
         assert (res.c_min, res.nu_max) == (1, 1)
 
+    def test_search_state_cap(self, monkeypatch):
+        # K8 minus a perfect matching: 6-regular, m = 24, the densest
+        # graphs within the default budget
+        g = cd.MultiGraph(8, [(i, j) for i in range(8) for j in range(i + 1, 8) if j != i + 4])
+        assert g.m == cd.oracle.DEFAULT_EDGE_LIMIT
+        res = cd.oracle_cycle_numbers(g)
+        assert (res.c_min, res.nu_max) == (3, 8)
+        monkeypatch.setattr(cd.oracle, "MAX_SEARCH_STATES", 10**5)
+        assert cd.oracle_cycle_numbers(g) == res
+        monkeypatch.setattr(cd.oracle, "MAX_SEARCH_STATES", 1000)
+        with pytest.raises(cd.TooLargeError, match="more than 1000 memo entries and listed cycles"):
+            cd.oracle_cycle_numbers(g)
+        # the cycles of the first branching count before any memo entry exists
+        inc = cd.oracle._incidence(g)
+        first = len(cd.oracle._cycles_through(inc, (1 << g.m) - 1, 0, *g.endpoints(0)))
+        monkeypatch.setattr(cd.oracle, "MAX_SEARCH_STATES", first - 1)
+        with pytest.raises(cd.TooLargeError):
+            cd.oracle_cycle_numbers(g)
+
     @given(eulerian_graphs(max_n=7, max_extra=2))
     def test_witnesses_validate(self, g):
         if g.m > 14:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import cycledec as cd
 from cycledec import recognition
 from cycledec.cli import main
+from cycledec.multigraph import reach
 from conftest import built_graphs, eulerian_graphs
 from helpers import canon, mk_bowtie, mk_k5
 
@@ -54,6 +55,24 @@ class TestSingleStep:
             cd.test_and_decompose(cd.gen_cycle(4), 7)
         with pytest.raises(cd.InvalidVertexError):
             cd.fused_bridge_probe(cd.gen_cycle(4), -1)
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_disconnected_input_keeps_the_component_map(self, monkeypatch, labels):
+        # a 5-cycle, an isolated vertex and a triangle: the map starts
+        # exact, the cost rule reads v's own component, and a split keeps
+        # the map exact
+        monkeypatch.setattr(recognition, "_labels_pay", lambda rank, edges: labels)
+        g = cd.MultiGraph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (6, 7), (7, 8), (8, 6)])
+        for v in range(g.n):
+            assert cd.fused_bridge_probe(g, v) == cd.find_cut_edge_avoiding(g, v)
+            work = recognition._WorkGraph(g)
+            _assert_labels_consistent(work)
+            probe = recognition._probe(work, v)
+            assert (probe is None) == (v == 5)
+            if probe is not None:
+                recognition._apply(work, v, probe)
+            assert (work.label is not None) == (labels and v != 5)
+            _assert_labels_consistent(work)
 
     @given(built_graphs(max_n=9))
     def test_fused_probe_agrees_with_naive(self, g):
@@ -165,83 +184,101 @@ class TestWorklist:
                 assert t1 == t2
 
 
+def _live_graph(work):
+    """The working graph's alive edges as a MultiGraph, with their ids."""
+    alive = [e for e, ends in enumerate(work.endpoints) if ends is not None]
+    return alive, cd.MultiGraph(len(work.adj), [work.endpoints[e] for e in alive])
+
+
 def _walk_probe(work, v):
-    """Reference probe: smallest bridge of (component of v) minus v from the
-    lowpoint walk, as (bridge, vertex set of u2's side, component minus v)."""
-    adjv = work.adj[v]
-    if not adjv:
+    """Reference probe by the naive route: find_cut_edge_avoiding on v's
+    component of the live working graph, with reach for the sides. Returns
+    (bridge, vertex set of u2's side, component minus v), in working ids."""
+    alive, live = _live_graph(work)
+    marks = reach(live, v)
+    k, vids, eids = cd.induced_subgraph(live, (x for x in range(live.n) if marks[x]))
+    local_v = vids.index(v)
+    e_local = cd.find_cut_edge_avoiding(k, local_v)
+    if e_local is None:
         return None
-    bridges, disc, tout = recognition._component_bridges(work.adj, v, min(adjv.values()))
-    if not bridges:
-        return None
-    e, _p, c = min(bridges)
-    sub = {w for w in disc if disc[c] <= disc[w] < tout[c]}
-    rest = set(disc)
-    return e, sub if c == work.endpoints[e][1] else rest - sub, rest
+    u2 = k.endpoints(e_local)[1]
+    side = reach(k, u2, skip_vertex=local_v, skip_edges=(e_local,))
+    rest = set(vids) - {v}
+    return alive[eids[e_local]], {vids[x] for x in range(k.n) if side[x]}, rest
 
 
 def _assert_labels_consistent(work):
-    """The split invariant: labels at every vertex XOR to 0, and each
-    component's size and buckets list exactly its edges."""
-    labels = work.labels
-    alive = [e for e, ends in enumerate(work.endpoints) if ends is not None]
-    for x, adjx in enumerate(work.adj):
-        acc = 0
-        for e in adjx:
-            acc ^= labels.label[e]
-        assert acc == 0
+    """The component map and the split invariant: comp names exactly the
+    connected components and size counts their edges; once labels exist,
+    those at every vertex XOR to 0 and each component's buckets list
+    exactly its edges."""
+    alive, live = _live_graph(work)
+    assert len(work.comp) == live.n
+    parts = cd.connected_components(live)
+    assert sorted({work.comp[x] for part in parts for x in part}) == list(range(len(work.size)))
+    for part in parts:
+        assert {work.comp[x] for x in part} == {work.comp[part[0]]}
     by_comp = {}
     for e in alive:
         a, b = work.endpoints[e]
-        assert labels.comp[a] == labels.comp[b]
-        by_comp.setdefault(labels.comp[a], []).append(e)
-    for c, size in enumerate(labels.size):
-        edges = by_comp.get(c, [])
-        assert size == len(edges)
-        if labels.buckets[c] is not None:
+        assert work.comp[a] == work.comp[b]
+        by_comp.setdefault(work.comp[a], []).append(e)
+    for c, size in enumerate(work.size):
+        assert size == len(by_comp.get(c, []))
+    if work.label is None:
+        assert work.buckets is None
+        return
+    for x, adjx in enumerate(work.adj):
+        acc = 0
+        for e in adjx:
+            acc ^= work.label[e]
+        assert acc == 0
+    for c, buckets in enumerate(work.buckets):
+        if buckets is not None:
             want = {}
-            for e in edges:
-                want.setdefault(labels.label[e], []).append(e)
-            assert labels.buckets[c] == want
+            for e in by_comp.get(c, []):
+                want.setdefault(work.label[e], []).append(e)
+            assert buckets == want
 
 
 def _check_label_probes(h, order_seed=None, build_after=0):
-    """Run the worklist on h, walking until build_after steps are done and
-    then building the labels; from then on, at every pop, the label path
-    must name the same bridge and the same sides as the lowpoint walk."""
+    """Run the worklist on h, with the cost rule refusing the block labels
+    until build_after steps are done and then with the labels built; at
+    every pop, the probe must name the same bridge and the same sides as
+    the naive route, and the component map must stay exact."""
     work = recognition._WorkGraph(h)
     work.final = False
+    _assert_labels_consistent(work)
     pool = list(range(h.n))
     rng = random.Random(order_seed)
     steps = 0
     while pool:
         v = pool.pop(0) if order_seed is None else pool.pop(rng.randrange(len(pool)))
-        if work.labels is None and steps >= build_after:
-            work.labels = recognition._Labels(work)
-        if work.labels is None:
-            ref = _walk_probe(work, v)
-            probe = None if ref is None else (ref[0], ref[1], True)
+        if work.label is None and steps >= build_after:
+            recognition._build_labels(work)
+            _assert_labels_consistent(work)
+        ref = _walk_probe(work, v)
+        if work.label is None:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recognition, "_labels_pay", lambda rank, edges: False)
+                probe = recognition._probe(work, v)
         else:
-            ref = _walk_probe(work, v)
             adjv = work.adj[v]
-            e = recognition._label_candidate(work.labels, v, adjv) if adjv else -1
-            if ref is None:
-                assert e == -1
-                continue
-            assert e == ref[0]
-            a, b = work.endpoints[e]
-            side, side_is_u2 = recognition._smaller_side(work.adj, v, e, a, b)
-            assert (side if side_is_u2 else ref[2] - side) == ref[1]
-            assert len(side) <= len(ref[2]) - len(side) + 1
+            away = work.size[work.comp[v]] - len(adjv)
+            e = recognition._label_candidate(work, v, adjv, away) if adjv and away else -1
+            assert e == (-1 if ref is None else ref[0])
             probe = recognition._probe(work, v)
-            assert probe[0] == e
-        if probe is None:
+        if ref is None:
+            assert probe is None
             continue
+        e, side, side_is_u2 = probe
+        assert e == ref[0]
+        assert (side if side_is_u2 else ref[2] - side) == ref[1]
+        assert len(side) <= len(ref[2]) - len(side) + 1
         step = recognition._apply(work, v, probe)
         steps += 1
         pool += [step.v1, step.v2]
-        if work.labels is not None:
-            _assert_labels_consistent(work)
+        _assert_labels_consistent(work)
     return steps
 
 
@@ -258,8 +295,9 @@ def _family_blocks(ns, seeds):
 
 
 class TestLabelProbe:
-    """The cycle-space label probe against the lowpoint walk it replaces,
-    with the cost rule switched off so that the labels answer every probe."""
+    """The probe against the naive route, with the cost rule switched off so
+    that the block labels answer every probe once they are built, and the
+    tree-label fallback every probe before."""
 
     @pytest.fixture(autouse=True)
     def labels_everywhere(self, monkeypatch):
@@ -324,7 +362,7 @@ class TestFrozenTraces:
     @pytest.mark.parametrize("order", [None, 5])
     def test_constant_labels_keep_the_traces(self, tmp_path, monkeypatch, order):
         # every edge label alike: candidates are mostly no bridge at all, so
-        # hits fall back to the lowpoint walk, and the ids must not move
+        # hits fall back to the tree labels, and the ids must not move
         refuted = []
         confirm = recognition._smaller_side
 
@@ -343,16 +381,54 @@ class TestFrozenTraces:
         # with the cost rule always admitting the labels, every block builds
         # them on its first probe, tiny ones included
         built = []
-        build = recognition._Labels
+        build = recognition._build_labels
 
         def counting_build(work):
             built.append(len(work.endpoints))
             return build(work)
 
         monkeypatch.setattr(recognition, "_labels_pay", lambda rank, edges: True)
-        monkeypatch.setattr(recognition, "_Labels", counting_build)
+        monkeypatch.setattr(recognition, "_build_labels", counting_build)
         assert self.digest(tmp_path, order) == self.DIGESTS[order]
         assert min(built) <= 3
+
+    def counting_confirms(self, monkeypatch):
+        refuted = []
+        confirm = recognition._smaller_side
+
+        def counting_confirm(*args):
+            found = confirm(*args)
+            refuted.append(found is None)
+            return found
+
+        monkeypatch.setattr(recognition, "_smaller_side", counting_confirm)
+        return refuted
+
+    def never_build(self, monkeypatch):
+        def no_build(work):
+            raise AssertionError("the cost rule admitted the block labels")
+
+        monkeypatch.setattr(recognition, "_labels_pay", lambda rank, edges: False)
+        monkeypatch.setattr(recognition, "_build_labels", no_build)
+
+    @pytest.mark.parametrize("order", [None, 5])
+    def test_fallback_everywhere_keeps_the_traces(self, tmp_path, monkeypatch, order):
+        # with the cost rule never admitting the block labels, the tree
+        # labels of the component minus v answer every probe
+        self.never_build(monkeypatch)
+        confirms = self.counting_confirms(monkeypatch)
+        assert self.digest(tmp_path, order) == self.DIGESTS[order]
+        assert confirms
+
+    @pytest.mark.parametrize("order", [None, 5])
+    def test_fallback_with_constant_labels_keeps_the_traces(self, tmp_path, monkeypatch, order):
+        # every label 0: each edge of the component minus v is a candidate,
+        # so the walks refute all but the answer, and the ids must not move
+        self.never_build(monkeypatch)
+        refuted = self.counting_confirms(monkeypatch)
+        monkeypatch.setattr(recognition, "_edge_label", lambda e: 0)
+        assert self.digest(tmp_path, order) == self.DIGESTS[order]
+        assert refuted.count(True) > 10 * refuted.count(False) > 0
 
     def digest(self, tmp_path, order) -> str:
         graph_path = tmp_path / "g.graph"
