@@ -1,11 +1,11 @@
-"""Exhaustive reference engines for small graphs.
+"""Exhaustive engines for small graphs and the series-parallel reduction.
 
-Everything here trades time for certainty: exact cycle-decomposition numbers
-by memoized search over edge subsets, a full scan for edge-disjoint cycle
-pairs meeting in three or more vertices, a kernelization decider for
-treewidth at most 2, and the necklace-tree decomposition of biconnected
-4-regular treewidth-2 graphs. Budgets are explicit and overruns raise
-instead of silently truncating.
+Exact cycle-decomposition numbers by memoized search over edge subsets and
+a full scan for edge-disjoint cycle pairs meeting in three or more vertices
+trade time for certainty; their budgets are explicit and overruns raise. One
+series-parallel reduction records how a block reduces to one edge: treewidth
+<= 2 means every block reduces, and series_parallel_numbers folds exact
+tables over the record. Necklace trees split class H graphs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GraphError, NotClassHError, NotEulerianError, PreconditionViolatedError, TooLargeError
-from .connectivity import connected_components, is_biconnected
+from .connectivity import _lowpoint, connected_components, is_biconnected
 from .multigraph import (
     Cycle,
     CycleDecomposition,
@@ -43,11 +43,6 @@ def _too_deep(what: str) -> TooLargeError:
     return TooLargeError(f"{what} deeper than {MAX_SEARCH_DEPTH} levels; the graph is too large for exhaustive search")
 
 
-def _too_many() -> TooLargeError:
-    return TooLargeError(f"more than {MAX_SEARCH_STATES} memo entries and listed cycles; "
-                         "the graph is too large for exhaustive search")
-
-
 def _incidence(g: MultiGraph) -> list[list[tuple[int, int, int, int]]]:
     """Per vertex, (edge bit, other end, other end's bit, edge id) for every
     incident edge, in ascending edge id order."""
@@ -60,14 +55,13 @@ def _incidence(g: MultiGraph) -> list[list[tuple[int, int, int, int]]]:
 
 
 def _cycles_through(inc: list, rem: int, e0: int, a: int, b: int,
-                    room: int = -1) -> list[tuple[int, int]]:
+                    room: int = -1, over: Optional[TooLargeError] = None) -> list[tuple[int, int]]:
     """All simple cycles through edge e0 = ab using only edges whose bit is set in rem.
 
     Returns (edge mask, vertex mask) pairs in walk order: depth first from
     b, edges in ascending id order at every vertex. Each cycle appears
     exactly once because vertices never repeat and the start edge is fixed.
-    With room >= 0, the subset search's _too_many is raised as soon as
-    there are more than room of them.
+    With room >= 0, over is raised at cycle room + 1.
     """
     out: list[tuple[int, int]] = []
     cap = MAX_SEARCH_DEPTH
@@ -84,7 +78,7 @@ def _cycles_through(inc: list, rem: int, e0: int, a: int, b: int,
                 out.append((rem ^ avail ^ bit, seen))
                 left -= 1
                 if not left:
-                    raise _too_many()
+                    raise over
                 continue
             if seen & wbit:
                 continue
@@ -144,6 +138,8 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
     memo: dict[int, tuple[int, int, int, int]] = {}
     # cycles listed by the branchings still open
     held = 0
+    over = TooLargeError(f"more than {MAX_SEARCH_STATES} memo entries and listed cycles; "
+                         "the graph is too large for exhaustive search")
 
     def solve(rem: int, depth: int) -> tuple[int, int, int, int]:
         nonlocal held
@@ -155,7 +151,7 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
         e0 = (rem & -rem).bit_length() - 1
         a, b = ends[e0]
         best = None
-        cycles = _cycles_through(inc, rem, e0, a, b, MAX_SEARCH_STATES - len(memo) - held)
+        cycles = _cycles_through(inc, rem, e0, a, b, MAX_SEARCH_STATES - len(memo) - held, over)
         held += len(cycles)
         for cmask, _ in cycles:
             rest = rem ^ cmask  # the cycle lies in rem
@@ -197,14 +193,13 @@ def _all_cycles(g: MultiGraph, edge_limit: int, cycle_cap: int) -> tuple[list, l
     """(incidence, [(smallest edge id, edge mask, vertex mask)]) of every simple cycle."""
     if g.m > edge_limit:
         raise TooLargeError(f"m={g.m} exceeds the edge budget {edge_limit}")
+    over = TooLargeError(f"more than {cycle_cap} simple cycles, the cycle cap")
     inc = _incidence(g)
     out: list[tuple[int, int, int]] = []
     full = (1 << g.m) - 1
     for e0, (a, b) in enumerate(g.edges()):
-        rem = full & ~((1 << e0) - 1)
-        out.extend((e0, emask, vmask) for emask, vmask in _cycles_through(inc, rem, e0, a, b))
-        if len(out) > cycle_cap:
-            raise TooLargeError(f"more than {cycle_cap} simple cycles")
+        cycles = _cycles_through(inc, full >> e0 << e0, e0, a, b, max(cycle_cap - len(out), 0), over)
+        out.extend((e0, emask, vmask) for emask, vmask in cycles)
     return inc, out
 
 
@@ -236,46 +231,90 @@ def has_triple_intersecting_cycle_pair(g: MultiGraph, edge_limit: int = DEFAULT_
 
 
 def is_treewidth_at_most_2(g: MultiGraph) -> bool:
-    """Decide treewidth <= 2 by exhaustive degree-<=2 kernelization.
+    """Treewidth <= 2 of any multigraph: exactly when _sp_tree reduces each
+    block, an edge list of one lowpoint DFS relabelled locally. A block of
+    fewer than six edges has no K4 minor, so it needs no reduction."""
+    raw_blocks, _, _, _ = _lowpoint(g)
+    ends = tuple(g.edges())
+    return all(len(blk) < 6 or _sp_tree(*_local(ends, blk)) is not None for blk in raw_blocks)
 
-    Parallel edges collapse into the underlying simple graph first (they
-    never change treewidth beyond width 1). Removing a vertex of degree at
-    most 2 and joining its neighbours preserves the property, and the
-    reduction is confluent, so the graph empties iff treewidth is <= 2.
+
+def _local(ends: tuple, blk: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """(vertex count, edge list) of the edges blk, vertices numbered as met."""
+    ids: dict[int, int] = {}
+    edges = [(ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids))) for u, v in map(ends.__getitem__, blk)]
+    return len(ids), edges
+
+
+def _sp_tree(n: int, edges) -> Optional[tuple[list[tuple], int]]:
+    """The series-parallel reduction of a biconnected multigraph on 0..n-1.
+
+    Suppresses vertices with two neighbours and merges the parallel edges
+    this makes until two vertices are left; None if it gets stuck, exactly
+    when the treewidth exceeds 2 (Valdes, Tarjan & Lawler 1982). Returns
+    (nodes, root). A composite edge is a bundle of q plain edges, the int q,
+    or nodes[i], referred to as ~i; two plain edges in series make a plain
+    edge and bundles merge into a bundle. Nodes come in creation order:
+    series (c1, c2, par, cap) and parallel (c1, p1, cap1, c2, p2, cap2,
+    cap), with p a composite's degree parity at its ends and cap the least
+    of its degree and the degree outside it at either end.
     """
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges():
-        adj[u].add(v)
-        adj[v].add(u)
-    alive = g.n
-    removed = bytearray(g.n)
-    queue = [v for v in range(g.n) if len(adj[v]) <= 2]
-    while queue:
-        v = queue.pop()
-        if removed[v] or len(adj[v]) > 2:
+    # nb[v][w] = (edges of the composite v-w at v, composite)
+    nb: list[dict] = [{} for _ in range(n)]
+    for u, v in edges:
+        nb[u][v] = nb[u].get(v, 0) + 1
+        nb[v][u] = nb[v].get(u, 0) + 1
+    deg = [sum(nv.values()) for nv in nb]
+    for nv in nb:
+        for w, q in nv.items():
+            nv[w] = (q, q)
+    nodes: list[tuple] = []
+    alive = n
+    queue = [v for v in range(n) if len(nb[v]) == 2]
+    while queue and alive > 2:
+        x = queue.pop()
+        nx = nb[x]
+        if len(nx) != 2:
             continue
-        ns = tuple(adj[v])
-        removed[v] = 1
-        adj[v].clear()
-        for w in ns:
-            adj[w].discard(v)
-        if len(ns) == 2:
-            a, b = ns
-            adj[a].add(b)
-            adj[b].add(a)
-        for w in ns:
-            if len(adj[w]) <= 2:
-                queue.append(w)
+        (a, (_, ca)), (b, (_, cb)) = nx.items()
+        na, nbb = nb[a], nb[b]
+        da = na.pop(x)[0]
+        db = nbb.pop(x)[0]
+        nx.clear()
         alive -= 1
-    return alive == 0
+        cap = min(deg[a] - da, deg[b] - db, da, db)
+        if ca == 1 and cb == 1:
+            comp = 1
+        else:
+            nodes.append((ca, cb, da & 1, cap))
+            comp = -len(nodes)
+        old = na.get(b)
+        if old is not None:
+            da2, c2 = old
+            db2 = nbb[a][0]
+            if comp > 0 and c2 > 0:
+                comp += c2
+            else:
+                nodes.append((comp, da & 1, cap, c2, da2 & 1, min(deg[a] - da2, deg[b] - db2, da2, db2),
+                              min(deg[a] - da - da2, deg[b] - db - db2, da + da2, db + db2)))
+                comp = -len(nodes)
+            da, db = da + da2, db + db2
+        na[b] = (da, comp)
+        nbb[a] = (db, comp)
+        if len(na) == 2:
+            queue.append(a)
+        if len(nbb) == 2:
+            queue.append(b)
+    if alive > 2:
+        return None
+    return nodes, next((comp for nv in nb for _, comp in nv.values()), 0)
 
 
 def series_parallel_numbers(g: MultiGraph, stop_at_split: bool = False) -> Optional[tuple[int, int]]:
     """Exact (c, nu) of a biconnected even graph by series-parallel tables.
 
-    Returns None when g does not reduce to one edge by parallel merges and
-    series suppressions; for a biconnected graph that happens exactly when
-    its treewidth exceeds 2 (Valdes, Tarjan & Lawler 1982).
+    Returns None when _sp_tree cannot reduce g, that is when its treewidth
+    exceeds 2; otherwise one pass over its nodes builds their tables.
 
     A composite edge between terminals s and t stands for the subgraph H of
     the edges it has absorbed. H meets the rest of g only at s and t, so a
@@ -291,67 +330,31 @@ def series_parallel_numbers(g: MultiGraph, stop_at_split: bool = False) -> Optio
       runs on through x, so G[k] = G1[k] + G2[k] - k;
     - parallel: j path pairs close into j cycles, k = k1 + k2 - 2j, and
       G[k] is the best G1[k1] + G2[k2] over |k1 - k2| <= k <= k1 + k2.
-    Plain bundles stay integer counts, and a path of two plain edges is one
-    plain edge, so long plain paths and thetas never build a table.
+    The root's entry at k = 0 is (2c, 2nu).
 
-    With stop_at_split the reduction stops at the first composite H whose
-    first entries differ, and returns a pair with c != nu: E(H) splits
-    into cycles plus p paths in two sizes, and g - E(H), whose only odd
+    With stop_at_split the pass stops at the first node H whose first
+    entries differ, and returns a pair with c != nu: E(H) splits into
+    cycles plus p paths in two sizes, and g - E(H), whose only odd
     vertices are s and t when p = 1, splits into p s-t paths plus cycles;
     each path pair closes into one cycle, so g has decompositions of two
     sizes. Only c != nu is meaningful then.
     """
-    n = g.n
-    deg = [0] * n
-    # nb[v][w] = (edges of the composite v-w at v, composite)
-    nb: list[dict] = [{} for _ in range(n)]
-    for u, v in g.edges():
-        deg[u] += 1
-        deg[v] += 1
-        nb[u][v] = nb[u].get(v, 0) + 1
-        nb[v][u] = nb[v].get(u, 0) + 1
-    for nv in nb:
-        for w, q in nv.items():
-            nv[w] = (q, q)
-    alive = n
-    queue = [v for v in range(n) if len(nb[v]) == 2]
-    while queue and alive > 2:
-        x = queue.pop()
-        nx = nb[x]
-        if len(nx) != 2:
-            continue
-        (a, (_, ca)), (b, (_, cb)) = nx.items()
-        na, nbb = nb[a], nb[b]
-        da = na.pop(x)[0]
-        db = nbb.pop(x)[0]
-        nx.clear()
-        alive -= 1
-        cap = min(deg[a] - da, deg[b] - db, da, db)
-        comp = _series(ca, cb, da & 1, cap)
-        old = na.get(b)
-        if old is not None:
-            da2, c2 = old
-            db2 = nbb[a][0]
-            cap2 = min(deg[a] - da2, deg[b] - db2, da2, db2)
-            par = da & 1
-            da += da2
-            db += db2
-            comp = _parallel(comp, par, cap, c2, da2 & 1, cap2, min(deg[a] - da, deg[b] - db, da, db))
-        na[b] = (da, comp)
-        nbb[a] = (db, comp)
-        if stop_at_split and type(comp) is tuple and comp[0][0] != comp[1][0]:
-            return comp[0][0] // 2, comp[1][0] // 2
-        if len(na) == 2:
-            queue.append(a)
-        if len(nbb) == 2:
-            queue.append(b)
-    if alive > 2:
+    tree = _sp_tree(g.n, g.edges())
+    if tree is None:
         return None
-    if g.m == 0:
-        return 0, 0
-    a = next(v for v in range(n) if nb[v])
-    (_, comp), = nb[a].values()
-    lo, hi = _rows(comp, 0, 0)
+    nodes, root = tree
+    tables: list[tuple[list[int], list[int]]] = []
+    for node in nodes:
+        if len(node) == 4:
+            c1, c2, par, cap = node
+            table = _series(c1 if c1 > 0 else tables[~c1], c2 if c2 > 0 else tables[~c2], par, cap)
+        else:
+            c1, p1, cap1, c2, p2, cap2, cap = node
+            table = _parallel(c1 if c1 > 0 else tables[~c1], p1, cap1, c2 if c2 > 0 else tables[~c2], p2, cap2, cap)
+        if stop_at_split and table[0][0] != table[1][0]:
+            return table[0][0] // 2, table[1][0] // 2
+        tables.append(table)
+    lo, hi = _rows(root if root >= 0 else tables[~root], 0, 0)
     return lo[0] // 2, hi[0] // 2
 
 
@@ -365,8 +368,6 @@ def _rows(comp, par: int, cap: int) -> tuple[list[int], list[int]]:
 
 def _series(c1, c2, par: int, cap: int):
     """Join composites c1 and c2 of parity par through a suppressed vertex."""
-    if c1 == 1 and c2 == 1:
-        return 1
     lo1, hi1 = _rows(c1, par, cap)
     lo2, hi2 = _rows(c2, par, cap)
     size = min(len(lo1), len(lo2), (cap - par) // 2 + 1)
@@ -378,8 +379,6 @@ def _series(c1, c2, par: int, cap: int):
 
 def _parallel(c1, p1: int, cap1: int, c2, p2: int, cap2: int, cap: int):
     """Merge composites ci of parity pi and own cap capi into one cut at cap."""
-    if type(c1) is int and type(c2) is int:
-        return c1 + c2
     lo1, hi1 = _rows(c1, p1, cap1)
     lo2, hi2 = _rows(c2, p2, cap2)
     par = (p1 + p2) & 1
@@ -418,7 +417,7 @@ def is_class_H(g: MultiGraph) -> bool:
     return (
         is_biconnected(g)
         and all(degree(g, v) == 4 for v in range(g.n))
-        and is_treewidth_at_most_2(g)
+        and _sp_tree(g.n, g.edges()) is not None
     )
 
 

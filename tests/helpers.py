@@ -125,6 +125,41 @@ def brute_tw_le_2(g: cd.MultiGraph) -> bool:
     return ok(0)
 
 
+def elimination_tw_le_2(g: cd.MultiGraph) -> bool:
+    """Decide treewidth <= 2 by exhaustive degree-<=2 kernelization.
+
+    Parallel edges collapse into the underlying simple graph first (they
+    never change treewidth beyond width 1). Removing a vertex of degree at
+    most 2 and joining its neighbours preserves the property, and the
+    reduction is confluent, so the graph empties iff treewidth is <= 2.
+    """
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    alive = g.n
+    removed = bytearray(g.n)
+    queue = [v for v in range(g.n) if len(adj[v]) <= 2]
+    while queue:
+        v = queue.pop()
+        if removed[v] or len(adj[v]) > 2:
+            continue
+        ns = tuple(adj[v])
+        removed[v] = 1
+        adj[v].clear()
+        for w in ns:
+            adj[w].discard(v)
+        if len(ns) == 2:
+            a, b = ns
+            adj[a].add(b)
+            adj[b].add(a)
+        for w in ns:
+            if len(adj[w]) <= 2:
+                queue.append(w)
+        alive -= 1
+    return alive == 0
+
+
 def check_cycle(g: cd.MultiGraph, cyc: cd.Cycle) -> None:
     """Structural validity of one cycle against g: distinct vertices, distinct
     edges, consecutive steps incident."""

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import io
 import os
 import resource
@@ -244,6 +246,56 @@ class TestNumbersCmd:
         k5 = cd.MultiGraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         path = write_graph_file(tmp_path, "k5.graph", k5)
         assert main(["numbers", "--edge-limit", "5", path]) == 3
+
+
+def corpus_families():
+    """scripts/make_corpus.py's instances at its default sizes."""
+    path = Path(__file__).parents[1] / "scripts" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    cfg = module.CorpusConfig(out=Path("corpus"), seed=0, per_family=10, min_n=2, max_n=30)
+    return [g for _, g, _ in module.family_instances(cfg)]
+
+
+class TestFrozenVerdicts:
+    """One digest of `check --per-component` and `numbers` output, exit codes
+    included, over the corpus script's families, every generator family at
+    sizes up to 240, and non-unique graphs of treewidth 2. It pins the
+    verdict and numbers routes across rewrites of the series-parallel
+    reduction."""
+
+    DIGEST = "57230da787304804f7bfa38a3f2915566a29adb6ffbdb8fef182009b0b7bb854"
+
+    def graphs(self):
+        yield from corpus_families()
+        for n in (4, 16, 60, 240):
+            for seed in (1, 2, 3):
+                yield cd.gen_eulerian_multiedge(n)
+                yield cd.gen_cycle(n)
+                yield cd.gen_closed_necklace(n)
+                yield cd.gen_class_G(n, seed)[0]
+                yield cd.gen_class_H(n, seed)
+                yield cd.gen_class_H_prime(n, seed)
+                yield cd.gen_random_eulerian(n, max(1, n // 8), seed)
+        for d in (3, 10, 50):
+            # d routes 0 = x = 1, every edge doubled, and the same with
+            # a triangle hung off each x
+            yield cd.MultiGraph(2 + d, [e for i in range(d) for e in ((0, 2 + i),) * 2 + ((2 + i, 1),) * 2])
+            g = cd.gen_closed_necklace(d)
+            for v in range(d):
+                g, _ = cd.vertex_identification(g, v, cd.gen_cycle(3), 0)
+            yield g
+
+    def test_check_and_numbers_output(self, tmp_path, capsys):
+        path = str(tmp_path / "g.graph")
+        h = hashlib.sha256()
+        for g in self.graphs():
+            Path(path).write_text(cd.write_graph(g))
+            for argv in (["check", "--per-component", path], ["numbers", path]):
+                code = main(argv)
+                h.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestRepeatedCalls:

@@ -1,11 +1,13 @@
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import cycledec as cd
-from conftest import eulerian_graphs
-from helpers import brute_tw_le_2, check_cycle, mk_bowtie, mk_k4, mk_k5, small_eulerian_corpus
+from conftest import eulerian_graphs, multigraphs
+from helpers import brute_tw_le_2, check_cycle, elimination_tw_le_2, mk_bowtie, mk_k4, mk_k5, small_eulerian_corpus
 
 
 class TestCycleNumbers:
@@ -113,6 +115,48 @@ class TestCyclePairScan:
         cycles = cd.enumerate_simple_cycles(cd.gen_eulerian_multiedge(2))
         assert sorted(len(c) for c in cycles) == [2, 2, 2, 2, 2, 2]
 
+    def test_cycle_cap_is_exact(self):
+        g = cd.MultiGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)] * 2)
+        count = len(cd.enumerate_simple_cycles(g))
+        assert len(cd.enumerate_simple_cycles(g, cycle_cap=count)) == count
+        for scan in (cd.enumerate_simple_cycles, cd.has_triple_intersecting_cycle_pair):
+            with pytest.raises(cd.TooLargeError, match=f"more than {count - 1} simple cycles, the cycle cap"):
+                scan(g, cycle_cap=count - 1)
+
+    def test_cycle_cap_stops_the_listing(self):
+        # a doubled K8 has more than 10**5 simple cycles through its first
+        # few edges alone; the walk must give up at cycle 1001, not list
+        # them all before it looks at the cap
+        g = cd.MultiGraph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)] * 2)
+        tracemalloc.start()
+        try:
+            for scan in (cd.enumerate_simple_cycles, cd.has_triple_intersecting_cycle_pair):
+                with pytest.raises(cd.TooLargeError, match="more than 1000 simple cycles"):
+                    scan(g, edge_limit=g.m, cycle_cap=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+
+@st.composite
+def pieced_multigraphs(draw):
+    """Up to three random multigraphs side by side, a few random edges
+    between them and isolated vertices: odd degrees, bridges, cut vertices
+    and several components all occur."""
+    edges: list[tuple[int, int]] = []
+    parts = []
+    n = 0
+    for _ in range(draw(st.integers(1, 3))):
+        part = draw(multigraphs(max_n=7, max_m=12))
+        edges += [(n + u, n + v) for u, v in part.edges()]
+        parts.append(range(n, n + part.n))
+        n += part.n
+    for _ in range(draw(st.integers(0, 2)) if len(parts) > 1 else 0):
+        p1, p2 = draw(st.lists(st.sampled_from(parts), min_size=2, max_size=2, unique=True))
+        edges.append((draw(st.sampled_from(p1)), draw(st.sampled_from(p2))))
+    return cd.MultiGraph(n + draw(st.integers(0, 2)), edges)
+
 
 class TestTreewidth:
     def test_known_values(self):
@@ -130,6 +174,22 @@ class TestTreewidth:
     @given(eulerian_graphs(max_n=8, max_extra=3))
     def test_matches_elimination_search(self, g):
         assert cd.is_treewidth_at_most_2(g) == brute_tw_le_2(g)
+
+    @given(pieced_multigraphs())
+    def test_matches_elimination_reference(self, g):
+        assert cd.is_treewidth_at_most_2(g) == elimination_tw_le_2(g)
+
+    def test_every_family_matches_elimination_reference(self):
+        outcomes = {True: 0, False: 0}
+        for n in (2, 3, 5, 16, 64, 250, 1000, 2000):
+            for seed in (1, 2):
+                for g in (cd.gen_eulerian_multiedge(n), cd.gen_cycle(n), cd.gen_closed_necklace(n),
+                          cd.gen_class_G(n, seed)[0], cd.gen_class_H(n, seed), cd.gen_class_H_prime(n, seed),
+                          cd.gen_random_eulerian(n, n // 4, seed), cd.gen_random_eulerian(n, 2, seed)):
+                    want = elimination_tw_le_2(g)
+                    assert cd.is_treewidth_at_most_2(g) == want
+                    outcomes[want] += 1
+        assert outcomes[True] and outcomes[False]
 
 
 class TestMembership:

@@ -3,8 +3,8 @@
 series_parallel_numbers answers every biconnected block of treewidth at
 most 2. It is tied here to the exhaustive oracle, to the operator
 arithmetic of construction scripts, to the separation worklist, and to the
-treewidth decider, and timed on closed-form shapes whose tables would grow
-without the degree cut.
+elimination reference for treewidth, and timed on closed-form shapes whose
+tables would grow without the degree cut.
 """
 
 import time
@@ -15,7 +15,7 @@ from hypothesis import given
 import cycledec as cd
 from cycledec.cli import main
 from conftest import eulerian_graphs
-from helpers import mk_k5, script_numbers, small_eulerian_corpus, worklist_cycle_numbers
+from helpers import elimination_tw_le_2, mk_k5, script_numbers, small_eulerian_corpus, worklist_cycle_numbers
 
 
 def nonempty_blocks(g):
@@ -26,7 +26,7 @@ def assert_tables_match_oracle(h):
     """Tables refuse exactly the blocks of treewidth > 2 and otherwise give
     the oracle's numbers; stopping at the first split keeps the verdict."""
     numbers = cd.series_parallel_numbers(h)
-    assert (numbers is not None) == cd.is_treewidth_at_most_2(h)
+    assert (numbers is not None) == elimination_tw_le_2(h)
     early = cd.series_parallel_numbers(h, stop_at_split=True)
     early_unique = early is not None and early[0] == early[1]
     if numbers is None:
@@ -116,7 +116,7 @@ class TestAgainstWorklist:
             for g in (cd.gen_class_H(n, n), cd.gen_class_H_prime(n, n), cd.gen_random_eulerian(n, n // 8, n),
                       cd.gen_random_eulerian(n, 2, n)):
                 for h in nonempty_blocks(g):
-                    assert (cd.series_parallel_numbers(h) is None) == (not cd.is_treewidth_at_most_2(h))
+                    assert (cd.series_parallel_numbers(h) is None) == (not elimination_tw_le_2(h))
 
 
 class TestClosedFormShapes:

@@ -15,7 +15,7 @@ import cycledec as cd
 from cycledec import recognition
 from cycledec.cli import main
 from conftest import eulerian_graphs, multigraphs
-from helpers import mk_k5, small_eulerian_corpus
+from helpers import elimination_tw_le_2, mk_k5, small_eulerian_corpus
 
 
 def reference_block_verdicts(g, order_seed=None):
@@ -118,7 +118,7 @@ class TestShortcutSoundness:
             if h.m == 0:
                 continue
             numbers = cd.series_parallel_numbers(h)
-            assert (numbers is None) == (not cd.is_treewidth_at_most_2(h))
+            assert (numbers is None) == (not elimination_tw_le_2(h))
             if numbers is not None:
                 res = cd.oracle_cycle_numbers(h)
                 assert numbers == (res.c_min, res.nu_max)
