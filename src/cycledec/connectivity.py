@@ -44,6 +44,7 @@ def _lowpoint(g: MultiGraph) -> tuple[list[list[int]], list[int], set[int], int]
     its block, and a parallel copy makes a cycle of length 2.
     """
     n = g.n
+    ends, inc = g._endpoints, g._incidence
     disc = [-1] * n
     low = [0] * n
     timer = 0
@@ -56,7 +57,7 @@ def _lowpoint(g: MultiGraph) -> tuple[list[list[int]], list[int], set[int], int]
         if disc[root] != -1:
             continue
         components += 1
-        if not g.incident(root):
+        if not inc[root]:
             isolated.append(root)
             disc[root] = timer
             timer += 1
@@ -64,21 +65,22 @@ def _lowpoint(g: MultiGraph) -> tuple[list[list[int]], list[int], set[int], int]
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
-        stack = [(root, -1, iter(g.incident(root)))]
+        stack = [(root, -1, iter(inc[root]))]
         while stack:
             x, pe, it = stack[-1]
             moved = False
             for e in it:
                 if e == pe:
                     continue
-                w = g.other(e, x)
+                a, b = ends[e]
+                w = b if a == x else a
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
                     if x == root:
                         root_children += 1
                     edge_stack.append(e)
-                    stack.append((w, e, iter(g.incident(w))))
+                    stack.append((w, e, iter(inc[w])))
                     moved = True
                     break
                 if disc[w] < disc[x]:
@@ -157,16 +159,18 @@ def blocks(g: MultiGraph) -> BlockForest:
     biconnected mark (see MultiGraph).
     """
     raw_blocks, isolated, cuts, _ = _lowpoint(g)
+    ends = g._endpoints
     out: list[Block] = []
     for blk in raw_blocks:
         blk.sort()
-        verts = sorted({v for e in blk for v in g.endpoints(e)})
+        pairs = [ends[e] for e in blk]
+        verts = sorted({v for pair in pairs for v in pair})
         local = {v: i for i, v in enumerate(verts)}
-        graph = MultiGraph(len(verts), [(local[u], local[v]) for u, v in (g.endpoints(e) for e in blk)])
+        graph = MultiGraph._checked(len(verts), [(local[u], local[v]) for u, v in pairs])
         graph._biconnected = True
         out.append(Block(graph, tuple(verts), tuple(blk)))
     for v in isolated:
-        graph = MultiGraph(1, [])
+        graph = MultiGraph._checked(1, ())
         graph._biconnected = True
         out.append(Block(graph, (v,), ()))
     out.sort(key=lambda b: b.vertex_ids[0])
@@ -204,4 +208,4 @@ def split_at_cut_vertex(g: MultiGraph, v: int) -> tuple[MultiGraph, int, int]:
         elif b == v and not keep[a]:
             b = v2
         edges.append((a, b))
-    return MultiGraph(g.n + 1, edges), v, v2
+    return MultiGraph._checked(g.n + 1, edges), v, v2

@@ -5,6 +5,16 @@ Parallel edges are distinct edge ids with equal endpoint pairs; loops are
 rejected. Graphs are immutable once built: every operation that changes a
 graph returns a new one, together with relabelling maps where ids move.
 
+`MultiGraph(n, edges)` checks its input: n must lie in 1..MAX_VERTICES, and
+every edge must join two distinct vertices in range. The private
+`MultiGraph._checked` skips those tests. Only this package calls it, and
+only with edges that it has already checked or derived from a graph that
+was checked: parse_graph, the blocks of connectivity.blocks, the
+worklist's graphs in recognition and the graphs that a separation step or
+a split at a cut vertex derives from its input. A derived graph may hold
+more than MAX_VERTICES vertices: the worklist's final graph has one more
+vertex per step.
+
 The text format is line oriented: a header ``p <n> <m>`` followed by exactly
 m lines ``e <u> <v>``. Lines starting with ``#`` and blank lines are ignored.
 """
@@ -25,8 +35,8 @@ from .errors import (
     VertexOutOfRangeError,
 )
 
-# largest vertex count parse_graph accepts; the header is checked before
-# anything of that size is allocated
+# largest vertex count that MultiGraph(n, edges) and parse_graph accept;
+# both check it before anything of that size is allocated
 MAX_VERTICES = 10**7
 
 
@@ -44,19 +54,38 @@ class MultiGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise GraphError("vertex set must be non-empty")
-        endpoints = []
-        incidence = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(edges):
+        if n > MAX_VERTICES:
+            raise TooLargeError(f"n={n} exceeds the vertex budget {MAX_VERTICES}")
+        endpoints = tuple(map(tuple, edges))
+        for eid, (u, v) in enumerate(endpoints):
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRangeError(f"edge {eid}: endpoint out of range for n={n}")
             if u == v:
                 raise LoopEdgeError(f"edge {eid}: loop at vertex {u}")
-            endpoints.append((u, v))
-            incidence[u].append(eid)
-            incidence[v].append(eid)
+        self._build(n, endpoints)
+
+    @classmethod
+    def _checked(cls, n: int, edges: Iterable[tuple[int, int]]) -> MultiGraph:
+        """The graph on n >= 1 vertices with these endpoint tuples, which the
+        caller has already checked: every id in range, no loop (see the
+        module docstring)."""
+        g = cls.__new__(cls)
+        g._build(n, tuple(edges))
+        return g
+
+    def _build(self, n: int, endpoints: tuple[tuple[int, int], ...]) -> None:
+        if n == 2:
+            # without loops, every edge of a two-vertex graph is at both
+            ids = tuple(range(len(endpoints)))
+            self._incidence = (ids, ids)
+        else:
+            incidence: list[list[int]] = [[] for _ in range(n)]
+            for eid, (u, v) in enumerate(endpoints):
+                incidence[u].append(eid)
+                incidence[v].append(eid)
+            self._incidence = tuple(map(tuple, incidence))
         self._n = n
-        self._endpoints = tuple(endpoints)
-        self._incidence = tuple(tuple(es) for es in incidence)
+        self._endpoints = endpoints
         self._biconnected = False
 
     @property
@@ -294,7 +323,7 @@ def parse_graph(text: str) -> MultiGraph:
         raise GraphSyntaxError("missing 'p <n> <m>' header", 1)
     if len(edges) != m:
         raise GraphSyntaxError(f"expected {m} edge lines, got {len(edges)}", 1)
-    return MultiGraph(n, edges)
+    return MultiGraph._checked(n, edges)
 
 
 def write_graph(g: MultiGraph) -> str:

@@ -290,7 +290,7 @@ def ve_separation_step(g: MultiGraph, sep: VESeparator) -> tuple[MultiGraph, VeS
     edges.append((u1, v))
     edges.append((u2, v2))
     rec = VeStep(vertex=v, edge=e, u1=u1, u2=u2, v1=v, v2=v2, f1=f1, f2=f1 + 1)
-    return MultiGraph(g.n + 1, edges), rec
+    return MultiGraph._checked(g.n + 1, edges), rec
 
 
 @dataclass(frozen=True)

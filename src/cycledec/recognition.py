@@ -21,9 +21,9 @@ a fixed 64-bit hash of its id and each tree edge the XOR of the labels of
 the non-tree edges that close a cycle through it. The labels at every
 vertex then XOR to 0, so the labels of every cut δ(X) XOR to 0.
 
-* Fallback. Labelled along a tree of K - v itself, a bridge e of K - v is
-  a cut on its own: its side X has no other edge leaving it, no non-tree
-  edge crosses, and label(e) is 0. So the zero-label edges hold every
+* Fallback. Labelled along a spanning forest of K - v itself, a bridge e
+  of K - v is a cut on its own: its side X has no other edge leaving it,
+  no non-tree edge crosses, and label(e) is 0. So the zero-label edges hold every
   bridge, and the first of them in id order that a walk from both of its
   ends confirms is the answer. A collision costs a walk, never the answer.
 * Block labels. Labelled once along a tree of K, with v in it: if e is a
@@ -61,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import (
     ComponentTooLargeError,
@@ -72,7 +72,7 @@ from .errors import (
     OddDegreeError,
 )
 from .connectivity import Block, blocks, is_biconnected
-from .multigraph import MultiGraph, degree, is_eulerian, is_eulerian_multiedge
+from .multigraph import MultiGraph, degree, is_eulerian, is_eulerian_multiedge, reach
 from .operators import VeStep
 from .oracle import DEFAULT_EDGE_LIMIT, oracle_cycle_numbers, series_parallel_numbers
 from .rng import Rng
@@ -140,11 +140,12 @@ class _WorkGraph:
 
     Deleted edges keep their slot in `endpoints` as None so ids stay stable.
     `comp[x]` is vertex x's component and `size[c]` component c's edge
-    count; one walk sets them and every split updates them. `final` is set
-    when every edge of the input has a parallel copy: the edge of a
-    vertex-edge separator is a bridge of the graph minus a vertex, and a
-    parallel copy survives that deletion, so no probe can hit and the graph
-    stays as it is. `label[e]` is edge e's cycle-space label and
+    count; one walk sets them, or none on an input that the caller knows to
+    be connected, and every split updates them. `final` is set when every
+    edge of the input has a parallel copy: the edge of a vertex-edge
+    separator is a bridge of the graph minus a vertex, and a parallel copy
+    survives that deletion, so no probe can hit and the graph stays as it
+    is. `label[e]` is edge e's cycle-space label and
     `buckets[c]` component c's map from a label to the ascending ids of the
     edges that carry it, or None for a component whose probes can never
     pass the cost rule; both stay None until the first probe that the cost
@@ -153,16 +154,19 @@ class _WorkGraph:
 
     __slots__ = ("adj", "endpoints", "final", "comp", "size", "label", "buckets")
 
-    def __init__(self, g: MultiGraph) -> None:
+    def __init__(self, g: MultiGraph, connected: bool = False) -> None:
+        self.endpoints: list[Optional[tuple[int, int]]] = list(g._endpoints)
         self.adj: list[dict[int, int]] = [{} for _ in range(g.n)]
-        self.endpoints: list[Optional[tuple[int, int]]] = []
-        for e in range(g.m):
-            u, v = g.endpoints(e)
+        for e, (u, v) in enumerate(self.endpoints):
             self.adj[u][e] = v
             self.adj[v][e] = u
-            self.endpoints.append((u, v))
         pairs = Counter((u, v) if u < v else (v, u) for u, v in self.endpoints)
         self.final = 1 not in pairs.values()
+        self.label: Optional[list[int]] = None
+        self.buckets: Optional[list[Optional[dict[int, list[int]]]]] = None
+        if connected:
+            self.comp, self.size = [0] * g.n, [g.m]
+            return
         self.comp = comp = [-1] * g.n
         self.size: list[int] = []
         for r in range(g.n):
@@ -177,8 +181,6 @@ class _WorkGraph:
                         comp[w] = c
                         part.append(w)
             self.size.append(sum(len(self.adj[x]) for x in part) // 2)
-        self.label: Optional[list[int]] = None
-        self.buckets: Optional[list[Optional[dict[int, list[int]]]]] = None
 
 
 _MASK64 = (1 << 64) - 1
@@ -196,30 +198,38 @@ def _labels_pay(rank: int, edges: int) -> bool:
     return (1 << rank) < edges
 
 
-def _tree_labels(adj: list[dict[int, int]], root: int, skip: int) -> dict[int, int]:
-    """Cycle-space labels of the component of root in the graph minus skip.
+def _tree_labels(adj: list[dict[int, int]], roots: Iterable[int], skip: int) -> dict[int, int]:
+    """Cycle-space labels of the components of the roots in the graph minus skip.
 
-    Along a BFS tree, each non-tree edge gets _edge_label of its id and each
-    tree edge the XOR of the non-tree labels at the vertices below it. The
-    labels at every vertex then XOR to 0, and so do those of every cut; a
-    bridge is a cut on its own, so its label is 0. Returns edge id -> label.
+    Along a BFS tree of each component, from the first of its roots, each
+    non-tree edge gets _edge_label of its id and each tree edge the XOR of
+    the non-tree labels at the vertices below it. The labels at every
+    vertex then XOR to 0, and so do those of every cut; a bridge is a cut
+    on its own, so its label is 0. Returns edge id -> label.
     """
-    up = {root: -1}
-    acc = {root: 0}
+    up: dict[int, int] = {}
+    acc: dict[int, int] = {}
     label: dict[int, int] = {}
-    order = [root]
-    for x in order:
-        for e, w in adj[x].items():
-            if w == skip:
-                continue
-            if w not in up:
-                up[w] = e
-                acc[w] = 0
-                order.append(w)
-            elif e != up[x] and e not in label:
-                label[e] = h = _edge_label(e)
-                acc[x] ^= h
-                acc[w] ^= h
+    order: list[int] = []
+    for root in roots:
+        if root in up:
+            continue
+        up[root] = -1
+        acc[root] = 0
+        part = [root]
+        for x in part:
+            for e, w in adj[x].items():
+                if w == skip:
+                    continue
+                if w not in up:
+                    up[w] = e
+                    acc[w] = 0
+                    part.append(w)
+                elif e != up[x] and e not in label:
+                    label[e] = h = _edge_label(e)
+                    acc[x] ^= h
+                    acc[w] ^= h
+        order += part
     for x in reversed(order):
         e = up[x]
         if e >= 0:
@@ -231,12 +241,8 @@ def _tree_labels(adj: list[dict[int, int]], root: int, skip: int) -> dict[int, i
 def _build_labels(work: _WorkGraph) -> None:
     """Label every component of the working graph and bucket its edges."""
     work.label = label = [0] * len(work.endpoints)
-    roots: dict[int, int] = {}
-    for x, c in enumerate(work.comp):
-        roots.setdefault(c, x)
-    for r in roots.values():
-        for e, h in _tree_labels(work.adj, r, -1).items():
-            label[e] = h
+    for e, h in _tree_labels(work.adj, range(len(work.adj)), -1).items():
+        label[e] = h
     work.buckets = buckets = [{} for _ in work.size]
     for e, ends in enumerate(work.endpoints):
         if ends is not None:
@@ -322,9 +328,9 @@ def _probe(work: _WorkGraph, v: int):
     empty candidate set is an exact null and the smallest candidate, once
     a walk from its two ends confirms it, is the smallest bridge. A label
     collision or a vertex where the labels do not pay falls back to the
-    tree labels of the component minus v, taken from v's smallest
-    neighbour, where every bridge has label 0: the first zero-label edge
-    in id order that a walk confirms is the answer.
+    tree labels of every component of the component minus v, where every
+    bridge has label 0: the first zero-label edge in id order that a walk
+    confirms is the answer.
     """
     adjv = work.adj[v]
     if not adjv or work.final:
@@ -344,7 +350,8 @@ def _probe(work: _WorkGraph, v: int):
             found = _smaller_side(work.adj, v, e, a, b)
             if found is not None:
                 return e, found[0], found[1]
-    label = _tree_labels(work.adj, min(adjv.values()), v)
+    # a root in every component of K - v, v's smallest neighbour first
+    label = _tree_labels(work.adj, (min(adjv.values()), *adjv.values()), v)
     for e in sorted(e for e, h in label.items() if not h):
         a, b = work.endpoints[e]
         found = _smaller_side(work.adj, v, e, a, b)
@@ -446,7 +453,8 @@ def fused_bridge_probe(g: MultiGraph, v: int) -> Optional[int]:
     """Bridge edge id the worklist fast path would pick when popping v.
 
     Exists to be checked against the naive find_cut_edge_avoiding route;
-    the two must agree on every graph.
+    the two must agree on every connected graph, at cut vertices too. On a
+    disconnected graph the probe reads only the component of v.
     """
     if not (0 <= v < g.n):
         raise InvalidVertexError(f"v={v} out of range for n={g.n}")
@@ -466,9 +474,16 @@ def test_and_decompose(g: MultiGraph, v: int) -> tuple[MultiGraph, Optional[tupl
     probe = _probe(work, v)
     if probe is None:
         return g, None
+    e, side, side_is_u2 = probe
+    if side_is_u2:
+        # v2 takes every part of K - v but u1's side, as ve_separation_step
+        # does; at a cut vertex of K that is more than the probe's side
+        u1_side = reach(g, g.endpoints(e)[0], skip_vertex=v, skip_edges=(e,))
+        if any(not u1_side[w] and w not in side for w in work.adj[v].values()):
+            probe = e, {w for w in range(g.n) if u1_side[w]}, False
     step = _apply(work, v, probe)
     edges = [ep for ep in work.endpoints if ep is not None]
-    return MultiGraph(g.n + 1, edges), (step.v1, step.v2)
+    return MultiGraph._checked(g.n + 1, edges), (step.v1, step.v2)
 
 
 def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[MultiGraph, DecompositionTrace]:
@@ -478,11 +493,12 @@ def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[Mult
     split re-enqueued; order_seed switches to uniformly random pops. The
     final graph and every per-step id are deterministic given the order.
     A graph that blocks() built carries the biconnected mark and is not
-    tested again.
+    tested again. When no step applies, g itself is the final graph and
+    the trace's one component.
     """
     if not (g._biconnected or is_biconnected(g)):
         raise NotBiconnectedError("the separation worklist needs a biconnected input")
-    work = _WorkGraph(g)
+    work = _WorkGraph(g, connected=True)
     steps: list[VeStep] = []
     if order_seed is None:
         pool = deque(range(g.n))
@@ -506,29 +522,36 @@ def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[Mult
         pool.append(step.v1)
         pool.append(step.v2)
 
-    # the final components are the component map's groups; dropping the
-    # labels first keeps the peak memory at the walk's
+    if not steps:
+        # nothing split: the input is the final graph and its one component
+        ids = tuple(range(g.m))
+        return g, DecompositionTrace(g.n, g.m, (), (Block(g, tuple(range(g.n)), ids),), ids)
+    # the final components are the component map's groups, in the order of
+    # their smallest vertex; dropping the labels first keeps the peak
+    # memory at the walk's
     work.label = work.buckets = None
     endpoints = work.endpoints
     alive = tuple(e for e, ep in enumerate(endpoints) if ep is not None)
-    final = MultiGraph(len(work.adj), [endpoints[e] for e in alive])
-    parts: dict[int, tuple[list[int], list[int]]] = {}
+    final = MultiGraph._checked(len(work.adj), [endpoints[e] for e in alive])
+    # component id -> (its vertices, its edges in local ids, their ids)
+    parts: dict[int, tuple[list[int], list[tuple[int, int]], list[int]]] = {}
+    local = [0] * len(work.comp)
     for x, c in enumerate(work.comp):
-        parts.setdefault(c, ([], []))[0].append(x)
+        vids = parts.setdefault(c, ([], [], []))[0]
+        local[x] = len(vids)
+        vids.append(x)
     for e in alive:
-        parts[work.comp[endpoints[e][0]]][1].append(e)
-    components: list[Block] = []
-    for vids, eids in parts.values():
-        local = {w: i for i, w in enumerate(vids)}
-        ends = [endpoints[e] for e in eids]
-        cgraph = MultiGraph(len(vids), [(local[a], local[b]) for a, b in ends])
-        components.append(Block(cgraph, tuple(vids), tuple(eids)))
-
+        a, b = endpoints[e]
+        _, ends, eids = parts[work.comp[a]]
+        ends.append((local[a], local[b]))
+        eids.append(e)
+    components = tuple(Block(MultiGraph._checked(len(vids), ends), tuple(vids), tuple(eids))
+                       for vids, ends, eids in parts.values())
     trace = DecompositionTrace(
         input_n=g.n,
         input_m=g.m,
         steps=tuple(steps),
-        components=tuple(components),
+        components=components,
         final_edge_ids=alive,
     )
     return final, trace
@@ -566,11 +589,8 @@ def _undo_steps(trace: DecompositionTrace) -> MultiGraph:
             merged_into[x], x = root, merged_into[x]
         return root
 
-    endpoints: dict[int, tuple[int, int]] = {}
-    for comp in trace.components:
-        vids = comp.vertex_ids
-        for e, (a, b) in zip(comp.edge_ids, comp.graph.edges()):
-            endpoints[e] = (vids[a], vids[b])
+    endpoints = {e: (vids[a], vids[b]) for comp in trace.components for vids in (comp.vertex_ids,)
+                 for e, (a, b) in zip(comp.edge_ids, comp.graph.edges())}
     for st in reversed(trace.steps):
         f1 = endpoints.pop(st.f1, None)
         f2 = endpoints.pop(st.f2, None)
@@ -581,11 +601,12 @@ def _undo_steps(trace: DecompositionTrace) -> MultiGraph:
             raise GraphError(f"trace step {st.trace_line()!r} does not match the edges it left")
         merged_into[st.v2] = st.v1
         endpoints[st.edge] = (st.u1, st.u2)
-    if sorted(endpoints) != list(range(trace.input_m)):
+    # input_m keys, none of them missing from 0..input_m-1, are exactly those ids
+    pairs = list(map(endpoints.get, range(trace.input_m)))
+    if len(endpoints) != trace.input_m or None in pairs:
         raise GraphError("replay did not recover the original edge ids")
     final = {x: current(x) for x in list(merged_into)}.get
-    return MultiGraph(trace.input_n, [(final(a, a), final(b, b))
-                                      for a, b in map(endpoints.get, range(trace.input_m))])
+    return MultiGraph(trace.input_n, [(final(a, a), final(b, b)) for a, b in pairs])
 
 
 def _block_is_unique(h: MultiGraph) -> bool:

@@ -303,3 +303,64 @@ def worklist_cycle_numbers(g: cd.MultiGraph, edge_limit: int = cd.DEFAULT_EDGE_L
         c_total += c_block - k
         nu_total += nu_block - k
     return c_total, nu_total
+
+
+def assert_same_graph(g: cd.MultiGraph) -> None:
+    """g equals the graph that the checked constructor builds from its
+    vertex count and edges, with the same incidence at every vertex."""
+    ref = cd.MultiGraph(g.n, list(g.edges()))
+    assert g == ref
+    assert all(g.incident(v) == ref.incident(v) for v in range(g.n))
+
+
+def reference_extraction(work) -> tuple[cd.MultiGraph, tuple[cd.Block, ...], tuple[int, ...]]:
+    """The final graph, final components and alive edge ids of a worklist's
+    working graph, read off its component map by grouping, each graph
+    through the checked constructor: the reference for ve_components'
+    one-pass extraction and its step-free shortcut."""
+    endpoints = work.endpoints
+    alive = tuple(e for e, ep in enumerate(endpoints) if ep is not None)
+    final = cd.MultiGraph(len(work.adj), [endpoints[e] for e in alive])
+    parts: dict[int, tuple[list[int], list[int]]] = {}
+    for x, c in enumerate(work.comp):
+        parts.setdefault(c, ([], []))[0].append(x)
+    for e in alive:
+        parts[work.comp[endpoints[e][0]]][1].append(e)
+    components = []
+    for vids, eids in parts.values():
+        local = {w: i for i, w in enumerate(vids)}
+        cgraph = cd.MultiGraph(len(vids), [(local[a], local[b]) for a, b in (endpoints[e] for e in eids)])
+        components.append(cd.Block(cgraph, tuple(vids), tuple(eids)))
+    return final, tuple(components), alive
+
+
+def naive_parse(text: str):
+    """(n, edges) of a text in the p/e format, or the GraphError subclass
+    that parse_graph must raise on it, read off the format's definition."""
+    rows = [line.split() for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
+    if not rows or rows[0][0] != "p" or len(rows[0]) != 3:
+        return cd.GraphSyntaxError
+    try:
+        n, m = int(rows[0][1]), int(rows[0][2])
+    except ValueError:
+        return cd.GraphSyntaxError
+    if n < 1 or m < 0:
+        return cd.GraphSyntaxError
+    if n > cd.multigraph.MAX_VERTICES:
+        return cd.TooLargeError
+    edges = []
+    for row in rows[1:]:
+        if row[0] != "e" or len(row) != 3 or len(edges) >= m:
+            return cd.GraphSyntaxError
+        try:
+            u, v = int(row[1]), int(row[2])
+        except ValueError:
+            return cd.GraphSyntaxError
+        if not (0 <= u < n and 0 <= v < n):
+            return cd.VertexOutOfRangeError
+        if u == v:
+            return cd.LoopEdgeError
+        edges.append((u, v))
+    if len(edges) != m:
+        return cd.GraphSyntaxError
+    return n, edges

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -8,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 import cycledec as cd
+from conftest import graph_texts
 from cycledec import recognition
 from cycledec.cli import main
 from cycledec.oracle import DEFAULT_EDGE_LIMIT, MAX_SEARCH_DEPTH, MAX_SEARCH_STATES
@@ -133,6 +136,19 @@ class TestCheck:
         assert proc.stderr == (
             f"error: line 1: n=1000000000000 exceeds the vertex budget {cd.multigraph.MAX_VERTICES}\n"
         )
+
+
+    @given(graph_texts())
+    def test_any_text_ends_in_an_exit_code(self, text):
+        # an exception that main does not turn into exit 2 or 3 would
+        # propagate here as a traceback
+        for command in ("check", "decompose", "numbers", "oracle"):
+            with contextlib.ExitStack() as stack:
+                stack.enter_context(pytest.MonkeyPatch.context()).setattr(sys, "stdin", io.StringIO(text))
+                stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+                stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+                code = main([command, "-"])
+            assert code in (0, 1, 2, 3), command
 
 
 class TestDecompose:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
 import cycledec as cd
-from conftest import multigraphs
-from helpers import canon, mk_bowtie
+from conftest import graph_texts, multigraphs
+from helpers import assert_same_graph, canon, mk_bowtie, naive_parse
 
 
 class TestConstruction:
@@ -20,6 +22,32 @@ class TestConstruction:
             cd.MultiGraph(2, [(0, 2)])
         with pytest.raises(cd.VertexOutOfRangeError):
             cd.MultiGraph(2, [(-1, 0)])
+
+    def test_vertex_budget_checked_before_allocating(self, monkeypatch):
+        budget = 100_000
+        monkeypatch.setattr(cd.multigraph, "MAX_VERTICES", budget)
+        assert cd.MultiGraph(budget, []).n == budget
+        tracemalloc.start()
+        try:
+            with pytest.raises(cd.TooLargeError, match=f"n={budget + 1} exceeds the vertex budget {budget}"):
+                cd.MultiGraph(budget + 1, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one empty incidence list per vertex would take several MB
+        assert peak < 100_000
+
+    def test_derived_graphs_may_pass_the_budget(self, monkeypatch):
+        # graphs that grow an accepted input by a vertex per step or split
+        # are built on the unchecked path
+        g, bowtie = cd.gen_cycle(5), mk_bowtie()
+        monkeypatch.setattr(cd.multigraph, "MAX_VERTICES", 5)
+        final, trace = cd.ve_components(g)
+        assert final.n == 5 + len(trace.steps) > 5
+        assert cd.replay_trace(trace) == g
+        assert cd.ve_separation_step(g, cd.find_ve_separator(g))[0].n == 6
+        assert cd.test_and_decompose(g, 0)[0].n == 6
+        assert cd.split_at_cut_vertex(bowtie, 0)[0].n == 6
 
     def test_parallel_edges_kept_in_order(self):
         g = cd.MultiGraph(2, [(0, 1), (1, 0), (0, 1)])
@@ -124,6 +152,21 @@ class TestSerialization:
     @given(multigraphs())
     def test_round_trip_random(self, g):
         assert cd.parse_graph(cd.write_graph(g)) == g
+
+    @given(graph_texts())
+    def test_parse_follows_the_format(self, text):
+        # parse_graph checks every line itself, so it builds its graph
+        # without the constructor's checks: it must still return the
+        # checked graph, or raise the error the format calls for
+        want = naive_parse(text)
+        if isinstance(want, tuple):
+            g = cd.parse_graph(text)
+            assert g == cd.MultiGraph(*want)
+            assert_same_graph(g)
+        else:
+            with pytest.raises(cd.GraphError) as exc:
+                cd.parse_graph(text)
+            assert exc.type is want
 
     def test_error_carries_line_number(self):
         with pytest.raises(cd.GraphSyntaxError) as exc:

@@ -10,8 +10,8 @@ import cycledec as cd
 from cycledec import recognition
 from cycledec.cli import main
 from cycledec.multigraph import reach
-from conftest import built_graphs, eulerian_graphs
-from helpers import canon, mk_bowtie, mk_k5
+from conftest import built_graphs, connected_multigraphs, eulerian_graphs
+from helpers import assert_same_graph, canon, mk_bowtie, mk_k5, reference_extraction
 
 
 def script_cycle_count(script) -> int:
@@ -93,6 +93,35 @@ class TestSingleStep:
             if sep is not None:
                 hits = [v for v in range(h.n) if cd.fused_bridge_probe(h, v) is not None]
                 assert hits and hits[0] == sep.vertex
+
+
+class TestProbeAtACutVertex:
+    """At a cut vertex v of its component K, a probe answers for all of
+    K - v and a step sends every part of K - v but u1's side to v2, as the
+    naive route does, whichever way the cost rule answers."""
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_k4_with_a_hanging_cycle(self, monkeypatch, labels):
+        monkeypatch.setattr(recognition, "_labels_pay", lambda rank, edges: labels)
+        k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        g = cd.MultiGraph(7, k4 + [(0, 4), (4, 5), (5, 6), (6, 0)])
+        assert cd.fused_bridge_probe(g, 0) == cd.find_cut_edge_avoiding(g, 0) == 7
+
+    @pytest.mark.parametrize("labels", [False, True])
+    @given(g=connected_multigraphs())
+    def test_probe_and_step_match_the_naive_route(self, labels, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recognition, "_labels_pay", lambda rank, edges: labels)
+            for v in range(g.n):
+                e = cd.find_cut_edge_avoiding(g, v)
+                assert cd.fused_bridge_probe(g, v) == e
+                h, pair = cd.test_and_decompose(g, v)
+                if e is None:
+                    assert (h, pair) == (g, None)
+                else:
+                    ref, step = cd.ve_separation_step(g, cd.VESeparator(v, e))
+                    assert h == ref
+                    assert pair == (step.v1, step.v2)
 
 
 class TestWorklist:
@@ -452,6 +481,47 @@ class TestFrozenTraces:
         return h.hexdigest()
 
 
+class TestCheckedGraphs:
+    """parse_graph, blocks() and ve_components build their graphs without
+    the constructor's checks; over TestFrozenTraces' grid, each equals the
+    checked graph, and every trace equals the one that the reference
+    extraction reads off the same working graph."""
+
+    def test_graphs_and_traces_match_the_checked_route(self, monkeypatch):
+        made = []
+
+        class Recorded(recognition._WorkGraph):
+            __slots__ = ()
+
+            def __init__(self, g, connected=False):
+                super().__init__(g, connected)
+                made.append(self)
+
+        monkeypatch.setattr(recognition, "_WorkGraph", Recorded)
+        step_free = 0
+        for g in TestFrozenTraces().graphs():
+            parsed = cd.parse_graph(cd.write_graph(g))
+            assert_same_graph(parsed)
+            for block in cd.blocks(parsed).blocks:
+                h = block.graph
+                assert_same_graph(h)
+                if h.m == 0:
+                    continue
+                for order in (None, 5):
+                    final, trace = cd.ve_components(h, order_seed=order)
+                    ref_final, ref_components, alive = reference_extraction(made[-1])
+                    assert final == ref_final
+                    assert trace.components == ref_components
+                    assert trace.final_edge_ids == alive
+                    assert_same_graph(final)
+                    for comp in trace.components:
+                        assert_same_graph(comp.graph)
+                    if not trace.steps:
+                        step_free += 1
+                        assert final is h is trace.components[0].graph
+        assert step_free > 100
+
+
 class TestReplay:
     @given(built_graphs(max_n=10))
     def test_replay_restores_input_exactly(self, g):
@@ -520,6 +590,29 @@ class TestReplay:
                     steps[k] = dataclasses.replace(step, **{field: getattr(step, field) + delta})
                     with pytest.raises(cd.GraphError):
                         cd.replay_trace(dataclasses.replace(trace, steps=tuple(steps)))
+
+
+    @pytest.mark.parametrize("tamper", ["vertex_out_of_range", "endpoints_equal", "edge_dropped", "edge_repeated"])
+    def test_replay_rejects_tampered_components(self, tamper):
+        graphs = (cd.gen_cycle(9), cd.gen_class_H(14, 3), cd.gen_random_eulerian(14, 3, 4), cd.gen_closed_necklace(4))
+        for g in graphs:
+            h = max(cd.blocks(g).blocks, key=lambda b: b.graph.m).graph
+            _, trace = cd.ve_components(h)
+            beyond = trace.input_n + len(trace.steps)
+            for k, comp in enumerate(trace.components):
+                vids, eids = list(comp.vertex_ids), list(comp.edge_ids)
+                for i, (a, b) in enumerate(comp.graph.edges()):
+                    if tamper == "vertex_out_of_range":
+                        bad = dataclasses.replace(comp, vertex_ids=tuple(vids[:a] + [beyond] + vids[a + 1:]))
+                    elif tamper == "endpoints_equal":
+                        bad = dataclasses.replace(comp, vertex_ids=tuple(vids[:b] + [vids[a]] + vids[b + 1:]))
+                    elif tamper == "edge_dropped":
+                        bad = dataclasses.replace(comp, edge_ids=tuple(eids[:i] + eids[i + 1:]))
+                    else:
+                        bad = dataclasses.replace(comp, edge_ids=tuple(eids[:i] + [eids[i - 1]] + eids[i + 1:]))
+                    components = trace.components[:k] + (bad,) + trace.components[k + 1:]
+                    with pytest.raises(cd.GraphError):
+                        cd.replay_trace(dataclasses.replace(trace, components=components))
 
 
 class TestVerdicts:
