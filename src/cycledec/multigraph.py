@@ -74,16 +74,11 @@ class MultiGraph:
         return g
 
     def _build(self, n: int, endpoints: tuple[tuple[int, int], ...]) -> None:
-        if n == 2:
-            # without loops, every edge of a two-vertex graph is at both
-            ids = tuple(range(len(endpoints)))
-            self._incidence = (ids, ids)
-        else:
-            incidence: list[list[int]] = [[] for _ in range(n)]
-            for eid, (u, v) in enumerate(endpoints):
-                incidence[u].append(eid)
-                incidence[v].append(eid)
-            self._incidence = tuple(map(tuple, incidence))
+        incidence: list[list[int]] = [[] for _ in range(n)]
+        for eid, (u, v) in enumerate(endpoints):
+            incidence[u].append(eid)
+            incidence[v].append(eid)
+        self._incidence = tuple(map(tuple, incidence))
         self._n = n
         self._endpoints = endpoints
         self._biconnected = False

@@ -479,8 +479,7 @@ def test_and_decompose(g: MultiGraph, v: int) -> tuple[MultiGraph, Optional[tupl
         # v2 takes every part of K - v but u1's side, as ve_separation_step
         # does; at a cut vertex of K that is more than the probe's side
         u1_side = reach(g, g.endpoints(e)[0], skip_vertex=v, skip_edges=(e,))
-        if any(not u1_side[w] and w not in side for w in work.adj[v].values()):
-            probe = e, {w for w in range(g.n) if u1_side[w]}, False
+        probe = e, {w for w in range(g.n) if u1_side[w]}, False
     step = _apply(work, v, probe)
     edges = [ep for ep in work.endpoints if ep is not None]
     return MultiGraph._checked(g.n + 1, edges), (step.v1, step.v2)
