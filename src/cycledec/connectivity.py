@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import InvalidVertexError, NotACutVertexError
-from .multigraph import MultiGraph, reach
+from .multigraph import MultiGraph, _split_vertex, reach
 
 
 def connected_components(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
@@ -199,13 +199,4 @@ def split_at_cut_vertex(g: MultiGraph, v: int) -> tuple[MultiGraph, int, int]:
     keep = reach(g, nbrs[0], skip_vertex=v)
     if all(keep[w] for w in nbrs):
         raise NotACutVertexError(f"vertex {v} is not a cut vertex of its component")
-    v2 = g.n
-    edges = []
-    for e in range(g.m):
-        a, b = g.endpoints(e)
-        if a == v and not keep[b]:
-            a = v2
-        elif b == v and not keep[a]:
-            b = v2
-        edges.append((a, b))
-    return MultiGraph._checked(g.n + 1, edges), v, v2
+    return MultiGraph._checked(g.n + 1, _split_vertex(g, v, keep)), v, g.n

@@ -14,14 +14,17 @@ graph id for id:
     E <e1> <u1> <e2> <u2>    pop g2, pop g1, push edge identification
     X <e1> <u1> <e2> <u2>    pop g2, pop g1, push vertex-edge identification
 
-The generators and replay_script apply the operators' own edge-list core
-in place on [n, edge list] pairs and build one MultiGraph at the end,
+One stack step, _run, evaluates every instruction on [n, edge list]
+pairs with the operators' own edge-list core in place; the generators and
+replay_script both go through it and build one MultiGraph at the end,
 sidestepping the quadratic cost of rebuilding an immutable graph per
-application. replay_script runs the public operators' own check functions,
-so a bad script fails with the error they would raise, and a good one
-yields the graph they would build, id for id. Every generator and
-replay_script raise TooLargeError, before allocating, where the graph could
-have more than multigraph.MAX_VERTICES vertices or edges.
+application. gen_class_G and gen_class_H share one plan-then-evaluate
+routine, _grow. replay_script runs the public operators' own check
+functions before each step, so a bad script fails with the error they
+would raise, and a good one yields the graph they would build, id for id.
+Every generator and replay_script raise TooLargeError, before allocating,
+where the graph could have more than multigraph.MAX_VERTICES vertices or
+edges.
 """
 
 from __future__ import annotations
@@ -82,6 +85,23 @@ def _check_budget(n: int, m: int, what: str, instruction: int = -1) -> None:
         raise TooLargeError(f"{where}{what} {n} vertices and {m} edges, over the budget {MAX_VERTICES}")
 
 
+def _run(stack: list[list], instr: tuple) -> None:
+    """Apply one script instruction to a stack of [n, edge list] pairs,
+    without checks: replay_script checks each instruction first, and the
+    generators emit valid ones."""
+    op = instr[0]
+    if op in _LEAVES:
+        stack.append(_LEAVES[op][0](instr[1]))
+    elif op == "D":
+        _subdivide(stack[-1], instr[1])
+    else:
+        g2 = stack.pop()
+        if op == "V":
+            join_vertex(stack[-1], instr[1], g2, instr[2])
+        else:
+            splice(stack[-1], instr[1], instr[2], g2, instr[3], instr[4], merge=op == "X")
+
+
 def gen_eulerian_multiedge(k: int) -> MultiGraph:
     """Two vertices joined by 2k parallel edges."""
     _check_leaf("M", k)
@@ -114,6 +134,49 @@ def subdivide_edge(g: MultiGraph, e: int) -> MultiGraph:
     return MultiGraph(*raw)
 
 
+def _grow(target_n: int, rng: Rng, split) -> tuple[list, list[tuple]]:
+    """Draw a random binary plan and evaluate it into a graph and its script.
+
+    split(tn) draws the root of a subtree with tn vertices: a leaf
+    instruction, or (kind, n1, n2) for a join of kind V, E or X of subtrees
+    with n1 and n2 vertices. The whole plan is drawn first, in pre-order;
+    then, in post-order, each join draws its anchors on the two graphs it
+    pops, and every instruction goes to _run. Returns the [n, edge list]
+    pair and the script.
+    """
+    plan = []
+    pending = [target_n]
+    while pending:
+        node = split(pending.pop())
+        plan.append(node)
+        if node[0] not in _LEAVES:
+            pending += (node[2], node[1])
+    script: list[tuple] = []
+    stack: list[list] = []
+    # joins still short of an operand, with the stack height they found
+    opened: list[tuple[str, int]] = []
+    for node in plan:
+        if node[0] not in _LEAVES:
+            opened.append((node[0], len(stack)))
+            continue
+        script.append(node)
+        _run(stack, node)
+        while opened and len(stack) == opened[-1][1] + 2:
+            kind = opened.pop()[0]
+            if kind == "V":
+                instr = ("V", rng.below(stack[-2][0]), rng.below(stack[-1][0]))
+            else:
+                g1, g2 = stack[-2][1], stack[-1][1]
+                e1 = rng.below(len(g1))
+                u1 = g1[e1][rng.below(2)]
+                e2 = rng.below(len(g2))
+                u2 = g2[e2][rng.below(2)]
+                instr = (kind, e1, u1, e2, u2)
+            script.append(instr)
+            _run(stack, instr)
+    return stack[0], script
+
+
 def gen_class_G(target_n: int, seed: int, max_leaf: int = 3) -> tuple[MultiGraph, tuple]:
     """Random member of the vee/cross closure of Eulerian multiedges.
 
@@ -128,54 +191,15 @@ def gen_class_G(target_n: int, seed: int, max_leaf: int = 3) -> tuple[MultiGraph
         raise InvalidParamError(f"max_leaf={max_leaf}, need at least one pair")
     _check_budget(target_n, 2 * max_leaf * (target_n - 1), "the graph could hold")
     rng = Rng(seed)
-    # phase 1: pre-order size plan. node = ["M", k] or [kind, left, right].
-    nodes: list[list] = []
-    pending = [(target_n, -1, 0)]
-    while pending:
-        tn, parent, slot = pending.pop()
-        idx = len(nodes)
-        if parent >= 0:
-            nodes[parent][slot] = idx
+
+    def split(tn: int) -> tuple:
         if tn == 2:
-            nodes.append(["M", 1 + rng.below(max_leaf)])
-            continue
+            return ("M", 1 + rng.below(max_leaf))
         kind = "V" if rng.below(2) == 0 else "X"
         n1 = 2 + rng.below(tn - 2)
-        nodes.append([kind, None, None])
-        pending.append((tn + 1 - n1, idx, 2))
-        pending.append((n1, idx, 1))
-    # phase 2: post-order evaluation; anchors drawn in emission order.
-    script: list[tuple] = []
-    results: dict[int, list] = {}
-    stack = [(0, False)]
-    while stack:
-        idx, expanded = stack.pop()
-        node = nodes[idx]
-        if node[0] == "M":
-            script.append(("M", node[1]))
-            results[idx] = _multiedge(node[1])
-            continue
-        if not expanded:
-            stack.append((idx, True))
-            stack.append((node[2], False))
-            stack.append((node[1], False))
-            continue
-        g1 = results.pop(node[1])
-        g2 = results.pop(node[2])
-        if node[0] == "V":
-            u1 = rng.below(g1[0])
-            u2 = rng.below(g2[0])
-            script.append(("V", u1, u2))
-            join_vertex(g1, u1, g2, u2)
-        else:
-            e1 = rng.below(len(g1[1]))
-            u1 = g1[1][e1][rng.below(2)]
-            e2 = rng.below(len(g2[1]))
-            u2 = g2[1][e2][rng.below(2)]
-            script.append(("X", e1, u1, e2, u2))
-            splice(g1, e1, u1, g2, e2, u2, merge=True)
-        results[idx] = g1
-    raw = results[0]
+        return kind, n1, tn + 1 - n1
+
+    raw, script = _grow(target_n, rng, split)
     return MultiGraph(raw[0], raw[1]), tuple(script)
 
 
@@ -189,42 +213,14 @@ def gen_class_H(target_n: int, seed: int) -> MultiGraph:
         raise InvalidParamError(f"target_n={target_n}, need at least two vertices")
     _check_budget(target_n, 2 * target_n, "the graph would hold")
     rng = Rng(seed)
-    nodes: list[list] = []
-    pending = [(target_n, -1, 0)]
-    while pending:
-        tn, parent, slot = pending.pop()
-        idx = len(nodes)
-        if parent >= 0:
-            nodes[parent][slot] = idx
+
+    def split(tn: int) -> tuple:
         if tn <= 3 or rng.below(4) == 0:
-            nodes.append(["N", tn])
-            continue
+            return ("N", tn)
         n1 = 2 + rng.below(tn - 3)
-        nodes.append(["E", None, None])
-        pending.append((tn - n1, idx, 2))
-        pending.append((n1, idx, 1))
-    results: dict[int, list] = {}
-    stack = [(0, False)]
-    while stack:
-        idx, expanded = stack.pop()
-        node = nodes[idx]
-        if node[0] == "N":
-            results[idx] = _necklace(node[1])
-            continue
-        if not expanded:
-            stack.append((idx, True))
-            stack.append((node[2], False))
-            stack.append((node[1], False))
-            continue
-        g1 = results.pop(node[1])
-        g2 = results.pop(node[2])
-        e1 = rng.below(len(g1[1]))
-        u1 = g1[1][e1][rng.below(2)]
-        e2 = rng.below(len(g2[1]))
-        u2 = g2[1][e2][rng.below(2)]
-        splice(g1, e1, u1, g2, e2, u2, merge=False)
-        results[idx] = g1
-    raw = results[0]
+        return "E", n1, tn - n1
+
+    raw, _ = _grow(target_n, rng, split)
     return MultiGraph(raw[0], raw[1])
 
 
@@ -354,7 +350,6 @@ def replay_script(script: tuple) -> MultiGraph:
             total_n += 2 if op == "M" else k
             total_m += k if op == "C" else 2 * k
             _check_budget(total_n, total_m, "the stack would hold", i)
-            stack.append(_LEAVES[op][0](k))
         elif op == "D":
             if not stack:
                 raise InvalidParamError("script pops from an empty stack")
@@ -362,24 +357,21 @@ def replay_script(script: tuple) -> MultiGraph:
             total_n += 1
             total_m += 1
             _check_budget(total_n, total_m, "the stack would hold", i)
-            _subdivide(stack[-1], instr[1])
         elif op in ("V", "E", "X"):
             if len(stack) < 2:
                 raise InvalidParamError("script pops from an empty stack")
-            g2 = stack.pop()
-            g1 = stack[-1]
+            g1, g2 = stack[-2], stack[-1]
             if op == "V":
                 check_join(g1, instr[1], g2, instr[2])
-                join_vertex(g1, instr[1], g2, instr[2])
                 total_n -= 1
             else:
                 check_splice(g1, instr[1], instr[2], g2, instr[3], instr[4])
-                splice(g1, instr[1], instr[2], g2, instr[3], instr[4], merge=op == "X")
                 if op == "X":
                     total_n -= 1
                     total_m -= 1
         else:
             raise InvalidParamError(f"unknown instruction {op!r}")
+        _run(stack, instr)
     if len(stack) != 1:
         raise InvalidParamError(f"script leaves {len(stack)} graphs on the stack")
     return MultiGraph(*stack[0])

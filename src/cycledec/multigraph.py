@@ -161,6 +161,24 @@ def reach(g: MultiGraph, start: int, skip_vertex: int = -1, skip_edges: Collecti
     return seen
 
 
+def _split_vertex(g: MultiGraph, v: int, marks: bytearray, drop: int = -1) -> list[tuple[int, int]]:
+    """g's edge list without edge drop, with every edge from v to an
+    unmarked vertex moved to the new vertex n; the edges keep their order.
+    Vertex-edge separation and splits at a cut vertex both split this way."""
+    ends = list(g._endpoints)
+    v2 = g._n
+    for e in g._incidence[v]:
+        a, b = ends[e]
+        if a == v:
+            if not marks[b]:
+                ends[e] = (v2, b)
+        elif not marks[a]:
+            ends[e] = (a, v2)
+    if drop >= 0:
+        del ends[drop]
+    return ends
+
+
 def is_eulerian(g: MultiGraph) -> bool:
     """Connected with every degree even. The one-vertex graph qualifies."""
     if any(degree(g, v) % 2 for v in range(g.n)):

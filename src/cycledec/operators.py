@@ -30,7 +30,7 @@ from .errors import (
     SharedEndpointError,
 )
 from .connectivity import find_cut_edge, is_biconnected
-from .multigraph import MultiGraph, induced_subgraph, reach
+from .multigraph import MultiGraph, _split_vertex, induced_subgraph, reach
 
 
 @dataclass(frozen=True)
@@ -276,16 +276,7 @@ def ve_separation_step(g: MultiGraph, sep: VESeparator) -> tuple[MultiGraph, VeS
     if side[u2]:
         raise NotASeparatorError(f"edge {e} is not a bridge of the graph minus vertex {v}")
     v2 = g.n
-    edges = []
-    for f in range(g.m):
-        if f == e:
-            continue
-        a, b = g.endpoints(f)
-        if a == v and not side[b]:
-            a = v2
-        elif b == v and not side[a]:
-            b = v2
-        edges.append((a, b))
+    edges = _split_vertex(g, v, side, drop=e)
     f1 = len(edges)
     edges.append((u1, v))
     edges.append((u2, v2))
@@ -346,4 +337,4 @@ def edge_separation_step(g: MultiGraph, cut: tuple[int, int]) -> tuple[MultiGrap
         pair1=(a1, c1), pair2=(b1, c2),
         side=tuple(compress(range(g.n), side)),
     )
-    return MultiGraph(g.n, edges), rec
+    return MultiGraph._checked(g.n, edges), rec

@@ -522,7 +522,8 @@ def _decompose_h(g: MultiGraph, rng) -> NecklaceTree:
     if cut is None:
         raise GraphError("no disjoint 2-cut in a graph that is not a closed necklace")
     sep, rec = edge_separation_step(g, cut)
-    rest = tuple(v for v in range(g.n) if v not in set(rec.side))
+    side = set(rec.side)
+    rest = tuple(v for v in range(g.n) if v not in side)
     g_a, verts_a, edges_a = induced_subgraph(sep, rec.side)
     g_b, verts_b, edges_b = induced_subgraph(sep, rest)
     anchor_a = (edges_a.index(rec.f1), verts_a.index(rec.pair1[0]))

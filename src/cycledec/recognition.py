@@ -72,8 +72,8 @@ from .errors import (
     OddDegreeError,
 )
 from .connectivity import Block, blocks, is_biconnected
-from .multigraph import MultiGraph, degree, is_eulerian, is_eulerian_multiedge, reach
-from .operators import VeStep
+from .multigraph import MultiGraph, degree, is_eulerian, is_eulerian_multiedge
+from .operators import VESeparator, VeStep, ve_separation_step
 from .oracle import DEFAULT_EDGE_LIMIT, oracle_cycle_numbers, series_parallel_numbers
 from .rng import Rng
 
@@ -363,8 +363,9 @@ def _probe(work: _WorkGraph, v: int):
 def _apply(work: _WorkGraph, v: int, probe) -> VeStep:
     """Delete the probed bridge, split v, and rejoin the sides.
 
-    Matches ve_separation_step's conventions: v keeps its id on the side of
-    the bridge's first stored endpoint.
+    The worklist's in-place form of ve_separation_step, with its
+    conventions: v keeps its id on the side of the bridge's first stored
+    endpoint.
     """
     e_star, side, side_is_u2 = probe
     u1, u2 = work.endpoints[e_star]
@@ -465,24 +466,14 @@ def fused_bridge_probe(g: MultiGraph, v: int) -> Optional[int]:
 def test_and_decompose(g: MultiGraph, v: int) -> tuple[MultiGraph, Optional[tuple[int, int]]]:
     """Try one separation at v; return (graph, (v1, v2)) or (g, None).
 
-    Single-step public entry: the result graph equals ve_separation_step at
-    the separator the probe found, with dense ids.
+    Single-step public entry: the probe's bridge, if any, goes to
+    ve_separation_step, whose graph is returned.
     """
-    if not (0 <= v < g.n):
-        raise InvalidVertexError(f"v={v} out of range for n={g.n}")
-    work = _WorkGraph(g)
-    probe = _probe(work, v)
-    if probe is None:
+    e = fused_bridge_probe(g, v)
+    if e is None:
         return g, None
-    e, side, side_is_u2 = probe
-    if side_is_u2:
-        # v2 takes every part of K - v but u1's side, as ve_separation_step
-        # does; at a cut vertex of K that is more than the probe's side
-        u1_side = reach(g, g.endpoints(e)[0], skip_vertex=v, skip_edges=(e,))
-        probe = e, {w for w in range(g.n) if u1_side[w]}, False
-    step = _apply(work, v, probe)
-    edges = [ep for ep in work.endpoints if ep is not None]
-    return MultiGraph._checked(g.n + 1, edges), (step.v1, step.v2)
+    h, step = ve_separation_step(g, VESeparator(v, e))
+    return h, (step.v1, step.v2)
 
 
 def ve_components(g: MultiGraph, order_seed: Optional[int] = None) -> tuple[MultiGraph, DecompositionTrace]:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cycledec as cd
+from cycledec import generators
 from conftest import seeds
 from helpers import operator_replay
 
@@ -178,6 +179,27 @@ class TestFrozenOutput:
     def test_class_H(self):
         texts = (cd.write_graph(cd.gen_class_H(n, seed)) for n in self.NS for seed in self.SEEDS)
         assert self.digest(texts) == "6b3a80ef5ab422086b70f3d00ec33a93614811831c942075072bd70c2319b453"
+
+    def test_class_H_instructions_replay(self, monkeypatch):
+        # class H emits no script, but the instructions its plan sends to the
+        # stack step, E joins included, go through replay_script's checks
+        emitted = []
+        grow = generators._grow
+
+        def recording(*args):
+            raw, script = grow(*args)
+            emitted.append(tuple(script))
+            return raw, script
+
+        monkeypatch.setattr(generators, "_grow", recording)
+        joins = 0
+        for n in self.NS:
+            for seed in self.SEEDS:
+                g = cd.gen_class_H(n, seed)
+                script = emitted.pop()
+                joins += sum(instr[0] == "E" for instr in script)
+                assert cd.replay_script(script) == g
+        assert joins > 0
 
     def test_class_H_prime(self):
         texts = (cd.write_graph(cd.gen_class_H_prime(n, seed)) for n in self.NS for seed in self.SEEDS)

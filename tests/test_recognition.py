@@ -124,6 +124,29 @@ class TestProbeAtACutVertex:
                     assert pair == (step.v1, step.v2)
 
 
+class TestApplyMatchesTheStep:
+    """_apply is the worklist's in-place form of ve_separation_step. On
+    biconnected inputs, where the worklist runs it, both give the same
+    graph, whichever way the cost rule answers."""
+
+    @pytest.mark.parametrize("labels", [False, True])
+    @given(g=connected_multigraphs())
+    def test_dense_edges_and_split_match(self, labels, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recognition, "_labels_pay", lambda rank, edges: labels)
+            for block in cd.blocks(g).blocks:
+                h = block.graph
+                for v in range(h.n):
+                    work = recognition._WorkGraph(h)
+                    probe = recognition._probe(work, v)
+                    if probe is None:
+                        continue
+                    step = recognition._apply(work, v, probe)
+                    ref, rec = cd.ve_separation_step(h, cd.VESeparator(v, probe[0]))
+                    assert [ep for ep in work.endpoints if ep is not None] == list(ref.edges())
+                    assert (step.v1, step.v2) == (rec.v1, rec.v2)
+
+
 class TestWorklist:
     def test_c5_runs_to_parallel_pairs(self):
         final, trace = cd.ve_components(cd.gen_cycle(5))
