@@ -11,7 +11,7 @@ tables over the record. Necklace trees split class H graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import GraphError, NotClassHError, NotEulerianError, PreconditionViolatedError, TooLargeError
 from .connectivity import _lowpoint, connected_components, is_biconnected
@@ -30,12 +30,13 @@ from .rng import Rng
 
 DEFAULT_EDGE_LIMIT = 24
 DEFAULT_CYCLE_CAP = 10**6
-# deepest recursion of the cycle walk and of the subset search; the two nest,
-# so together they stay well below the interpreter's default limit of 1000
+# deepest recursion of the cycle walk and of the exhaustive search; a
+# witness walk may call the search, whose walks nest in it, so the three
+# together stay below the interpreter's default limit of 1000
 MAX_SEARCH_DEPTH = 250
-# most memo entries and listed cycles that the subset search holds at once,
-# a few hundred bytes each; graphs within the default edge budget peak
-# near 1.5 * 10**5
+# most memo entries and listed cycles that the exhaustive search holds at
+# once, a few hundred bytes each; graphs within the default edge budget
+# peak near 1.5 * 10**5
 MAX_SEARCH_STATES = 10**6
 
 
@@ -43,39 +44,77 @@ def _too_deep(what: str) -> TooLargeError:
     return TooLargeError(f"{what} deeper than {MAX_SEARCH_DEPTH} levels; the graph is too large for exhaustive search")
 
 
-def _incidence(g: MultiGraph) -> list[list[tuple[int, int, int, int]]]:
-    """Per vertex, (edge bit, other end, other end's bit, edge id) for every
-    incident edge, in ascending edge id order."""
+def _class_masks(ends: tuple) -> list[int]:
+    """The bits of the copies of every parallel class, the edges with the
+    same two endpoints, ordered by lowest copy."""
+    masks: dict[tuple[int, int], int] = {}
+    for e, (u, v) in enumerate(ends):
+        key = (u, v) if u < v else (v, u)
+        masks[key] = masks.get(key, 0) | 1 << e
+    return list(masks.values())
+
+
+def _incidence(g: MultiGraph, fields: Optional[list[tuple[int, int]]] = None) -> list[list[tuple[int, int, int, int]]]:
+    """Per vertex, (mask, other end, other end's bit, unit) for every
+    incident edge, in ascending edge id order; mask and unit are both the
+    edge's bit. Given the (class mask, shift) fields of a count space, a
+    vertex lists each class once instead, at its lowest copy: mask is the
+    class's field and unit the field's lowest bit."""
     inc: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges()):
-        bit = 1 << e
-        inc[u].append((bit, v, 1 << v, e))
-        inc[v].append((bit, u, 1 << u, e))
+    if fields is None:
+        for e, (u, v) in enumerate(g.edges()):
+            bit = 1 << e
+            inc[u].append((bit, v, 1 << v, bit))
+            inc[v].append((bit, u, 1 << u, bit))
+        return inc
+    for mask, shift in fields:
+        u, v = g.endpoints((mask & -mask).bit_length() - 1)
+        unit = 1 << shift
+        field = ((1 << mask.bit_count().bit_length()) - 1) << shift
+        inc[u].append((field, v, 1 << v, unit))
+        inc[v].append((field, u, 1 << u, unit))
     return inc
 
 
-def _cycles_through(inc: list, rem: int, e0: int, a: int, b: int,
-                    room: int = -1, over: Optional[TooLargeError] = None) -> list[tuple[int, int]]:
+class _Stop(Exception):
+    """Ends a cycle walk at the cycle that its stop test accepts."""
+
+
+def _cycles_through(inc: list, rem: int, e0: int, a: int, b: int, room: int = -1,
+                    over: Optional[TooLargeError] = None,
+                    stop: Optional[Callable[[int], bool]] = None) -> list[tuple[int, int]]:
     """All simple cycles through edge e0 = ab using only edges whose bit is set in rem.
 
     Returns (edge mask, vertex mask) pairs in walk order: depth first from
-    b, edges in ascending id order at every vertex. Each cycle appears
+    b, incidence entries in order at every vertex. Each cycle appears
     exactly once because vertices never repeat and the start edge is fixed.
-    With room >= 0, over is raised at cycle room + 1.
+    An entry is open while rem has bits of its mask left, and taking it
+    subtracts its unit, so on the incidence of a count space, where rem
+    holds how many copies of each parallel class are left and e0 is the
+    start class's shift, the walk lists each cycle of classes once, as the
+    sum of its classes' units. With room >= 0, over is raised at cycle
+    room + 1. With stop, the walk ends at the first cycle whose edge mask
+    stop accepts and returns that cycle alone.
     """
     out: list[tuple[int, int]] = []
+    emit = out.append
+    if stop is not None:
+        def emit(cycle: tuple[int, int]) -> None:
+            if stop(cycle[0]):
+                out.append(cycle)
+                raise _Stop
     cap = MAX_SEARCH_DEPTH
     # counts down to 0 at cycle room + 1; from -1 it never gets there
     left = room + 1
 
     def walk(x: int, avail: int, seen: int, depth: int) -> None:
         nonlocal left
-        # avail: edges of rem not on the path yet, so rem ^ avail is the path
-        for bit, w, wbit, _ in inc[x]:
-            if not avail & bit:
+        # avail: what rem has left once the path is taken, so rem - avail is the path
+        for mask, w, wbit, unit in inc[x]:
+            if not avail & mask:
                 continue
             if w == a:
-                out.append((rem ^ avail ^ bit, seen))
+                emit((rem - avail + unit, seen))
                 left -= 1
                 if not left:
                     raise over
@@ -84,9 +123,12 @@ def _cycles_through(inc: list, rem: int, e0: int, a: int, b: int,
                 continue
             if depth >= cap:
                 raise _too_deep("cycle walk")
-            walk(w, avail ^ bit, seen | wbit, depth + 1)
+            walk(w, avail - unit, seen | wbit, depth + 1)
 
-    walk(b, rem & ~(1 << e0), (1 << a) | (1 << b), 1)
+    try:
+        walk(b, rem - (1 << e0), (1 << a) | (1 << b), 1)
+    except _Stop:
+        pass
     return out
 
 
@@ -94,12 +136,14 @@ def _cycle(g: MultiGraph, inc: list, e0: int, mask: int) -> Cycle:
     """The cycle with edge mask `mask`, walked from e0's first stored endpoint."""
     a, x = g.endpoints(e0)
     steps = [(a, e0)]
-    prev = e0
+    # the edges not walked yet
+    mask ^= 1 << e0
     while x != a:
-        for bit, w, _, e in inc[x]:
-            if mask & bit and e != prev:
-                steps.append((x, e))
-                prev, x = e, w
+        for bit, w, _, _ in inc[x]:
+            if mask & bit:
+                steps.append((x, bit.bit_length() - 1))
+                mask ^= bit
+                x = w
                 break
     return Cycle(tuple(steps))
 
@@ -115,14 +159,32 @@ class OracleResult:
 def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) -> OracleResult:
     """Exact minimum and maximum cycle-decomposition sizes, with witnesses.
 
-    Memoized over subsets of the edge set, branching on the cycle through
-    the lowest remaining edge id; any graph whose edge set is a disjoint
-    union of cycles (in particular every connected even graph) decomposes,
-    so the search never dead-ends. Exponential in m, hence the budget. The
-    memo keeps each subset's chosen cycles, and both witnesses are unwound
-    from it once the search is done. TooLargeError is raised before the
-    memo and the cycles listed by the open branchings together pass
-    MAX_SEARCH_STATES entries.
+    Any graph whose edge set is a disjoint union of cycles (in particular
+    every connected even graph) decomposes, so the search never dead-ends.
+    Exponential in m, hence the budget.
+
+    The copies of a parallel class, the edges with the same two endpoints,
+    are interchangeable, so the (c, nu) of a residual edge set depends only
+    on how many copies of each class it has left. The search runs on these
+    counts, one binary field per class in the order of their lowest copies,
+    and memoizes (c, nu) under them. It branches on the cycles of classes
+    through the first class with a copy left: one walk on the classes,
+    each crossed once, and a digon within that class is one cycle, not one
+    per pair of copies. When no two edges are parallel, the counts are the
+    edge set itself.
+
+    Each witness is unwound on the real residual, from the whole edge set
+    on: the walk through the lowest remaining edge runs in its edge-level
+    order and stops at the first cycle that leaves a residual of value one
+    less than the current one. That is the cycle a search over edge subsets
+    records under a first-strict-improvement rule. Each value is looked up
+    under its residual's counts, and one missing from the memo is solved
+    through it. A residual of value 1 is one cycle, and when c == nu every
+    cycle fits both extremes, so the two witnesses coincide.
+
+    A state is a memo entry or a cycle listed by a branching still open;
+    TooLargeError is raised before they together pass MAX_SEARCH_STATES. A
+    witness walk may pass as many cycles as the memo leaves room for.
     """
     if g.m > edge_limit:
         raise TooLargeError(f"m={g.m} exceeds the edge budget {edge_limit}")
@@ -132,61 +194,89 @@ def oracle_cycle_numbers(g: MultiGraph, edge_limit: int = DEFAULT_EDGE_LIMIT) ->
         empty = CycleDecomposition(())
         return OracleResult(0, 0, empty, empty)
 
-    inc = _incidence(g)
     ends = tuple(g.edges())
-    # rem -> (c, nu, cycle mask of the minimum branch, of the maximum branch)
-    memo: dict[int, tuple[int, int, int, int]] = {}
+    full = (1 << g.m) - 1
+    inc = _incidence(g)
+    masks = _class_masks(ends)
+    # (class mask, shift) of every class's field; per bit of the count
+    # space, the shift and endpoints of its class
+    fields: list[tuple[int, int]] = []
+    head: list[tuple[int, int, int]] = []
+    if len(masks) == g.m:
+        # no two edges are parallel: the counts are the edge set
+        counts, count_inc = full, inc
+        head = [(e, a, b) for e, (a, b) in enumerate(ends)]
+    else:
+        for mask in masks:
+            a, b = ends[(mask & -mask).bit_length() - 1]
+            fields.append((mask, len(head)))
+            head += [(len(head), a, b)] * mask.bit_count().bit_length()
+        counts = sum(mask.bit_count() << shift for mask, shift in fields)
+        count_inc = _incidence(g, fields)
+
+    # counts -> (c, nu)
+    memo: dict[int, tuple[int, int]] = {}
     # cycles listed by the branchings still open
     held = 0
     over = TooLargeError(f"more than {MAX_SEARCH_STATES} memo entries and listed cycles; "
                          "the graph is too large for exhaustive search")
 
-    def solve(rem: int, depth: int) -> tuple[int, int, int, int]:
+    def solve(rem: int, depth: int) -> tuple[int, int]:
         nonlocal held
         hit = memo.get(rem)
         if hit is not None:
             return hit
         if depth >= MAX_SEARCH_DEPTH:
             raise _too_deep("subset search")
-        e0 = (rem & -rem).bit_length() - 1
-        a, b = ends[e0]
-        best = None
-        cycles = _cycles_through(inc, rem, e0, a, b, MAX_SEARCH_STATES - len(memo) - held, over)
+        cycles = _cycles_through(count_inc, rem, *head[(rem & -rem).bit_length() - 1],
+                                 MAX_SEARCH_STATES - len(memo) - held, over)
         held += len(cycles)
+        c, nu = g.m, -1
         for cmask, _ in cycles:
-            rest = rem ^ cmask  # the cycle lies in rem
+            rest = rem - cmask  # the cycle lies in rem
             if rest:
-                c2, n2, _, _ = solve(rest, depth + 1)
+                c2, n2 = solve(rest, depth + 1)
             else:
                 c2 = n2 = 0
-            if best is None:
-                best = [1 + c2, 1 + n2, cmask, cmask]
-            else:
-                if 1 + c2 < best[0]:
-                    best[0] = 1 + c2
-                    best[2] = cmask
-                if 1 + n2 > best[1]:
-                    best[1] = 1 + n2
-                    best[3] = cmask
-        assert best is not None, "even residual graph must contain a cycle"
+            if c2 < c:
+                c = c2
+            if n2 > nu:
+                nu = n2
+        assert nu >= 0, "even residual graph must contain a cycle"
         held -= len(cycles)
-        res = (best[0], best[1], best[2], best[3])
-        memo[rem] = res
+        res = memo[rem] = (1 + c, 1 + nu)
         return res
 
-    full = (1 << g.m) - 1
-    c, nu, _, _ = solve(full, 0)
+    c, nu = solve(counts, 0)
 
-    def unwind(branch: int) -> CycleDecomposition:
-        cycles = []
+    def unwind(branch: int, target: int) -> CycleDecomposition:
+        cycles: list[Cycle] = []
         rem = full
+
+        def fits(cmask: int) -> bool:
+            rest = rem ^ cmask
+            key = 0 if fields else rest
+            for mask, shift in fields:
+                key |= (rest & mask).bit_count() << shift
+            # a cycle that is all of rem fits only at target 1, taken whole below
+            return key and solve(key, len(cycles) + 1)[branch] == target - 1
+
         while rem:
-            cmask = memo[rem][branch]
-            cycles.append(_cycle(g, inc, (rem & -rem).bit_length() - 1, cmask))
-            rem &= ~cmask
+            e0 = (rem & -rem).bit_length() - 1
+            if target == 1:
+                # what is left is one cycle
+                cmask = rem
+            else:
+                ((cmask, _),) = _cycles_through(inc, rem, e0, *ends[e0], MAX_SEARCH_STATES - len(memo), over, fits)
+            cycles.append(_cycle(g, inc, e0, cmask))
+            rem ^= cmask
+            target -= 1
         return CycleDecomposition(tuple(cycles))
 
-    return OracleResult(c, nu, unwind(2), unwind(3))
+    low = unwind(0, c)
+    # with c == nu every cycle leaves a residual of value c - 1 in both
+    # extremes, so both walks stop at the same cycles
+    return OracleResult(c, nu, low, low if c == nu else unwind(1, nu))
 
 
 def _all_cycles(g: MultiGraph, edge_limit: int, cycle_cap: int) -> tuple[list, list[tuple[int, int, int]]]:
@@ -494,9 +584,16 @@ class NecklaceTree:
     parts: tuple["NecklaceTree", ...]
 
     def leaves(self) -> list["NecklaceTree"]:
-        if not self.parts:
-            return [self]
-        return [leaf for part in self.parts for leaf in part.leaves()]
+        """The leaves, left to right."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.parts:
+                stack.extend(reversed(node.parts))
+            else:
+                out.append(node)
+        return out
 
 
 def decompose_class_H(g: MultiGraph, cut_seed: Optional[int] = None) -> NecklaceTree:
@@ -544,12 +641,26 @@ def verify_necklace_replay(tree: NecklaceTree) -> bool:
     """Check that edge-identifying the parts back together rebuilds each node.
 
     Compares endpoint multisets under the stored vertex id maps. Leaves must
-    be closed necklaces.
+    be closed necklaces. Nodes are checked children first, left to right,
+    and the check stops at the first that fails.
     """
-    if not tree.parts:
-        return is_closed_necklace(tree.graph)
-    if not all(verify_necklace_replay(part) for part in tree.parts):
-        return False
+    # (node, whether its parts are checked already)
+    stack = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not node.parts:
+            if not is_closed_necklace(node.graph):
+                return False
+        elif not expanded:
+            stack.append((node, True))
+            stack.extend((part, False) for part in reversed(node.parts))
+        elif not _rebuilds(node):
+            return False
+    return True
+
+
+def _rebuilds(tree: NecklaceTree) -> bool:
+    """Whether tree's two parts, joined at its replay anchors, give its graph."""
     g_a = tree.parts[0].graph
     g_b = tree.parts[1].graph
     (ea, ua), (eb, ub) = tree.replay_anchors

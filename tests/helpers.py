@@ -7,6 +7,10 @@ independence from the library's own algorithms.
 from __future__ import annotations
 
 import cycledec as cd
+from cycledec.errors import NotEulerianError, TooLargeError
+from cycledec.multigraph import CycleDecomposition, is_eulerian
+from cycledec.oracle import (MAX_SEARCH_DEPTH, MAX_SEARCH_STATES, OracleResult, _cycle, _cycles_through, _incidence,
+                             _too_deep)
 
 
 def canon(g: cd.MultiGraph):
@@ -364,3 +368,94 @@ def naive_parse(text: str):
     if len(edges) != m:
         return cd.GraphSyntaxError
     return n, edges
+
+
+def subset_search_reference(g: cd.MultiGraph, edge_limit: int = cd.DEFAULT_EDGE_LIMIT) -> cd.OracleResult:
+    """oracle_cycle_numbers as it was before the search keyed residuals by
+    parallel class: memoized over subsets of the edge set, every copy of a
+    parallel edge a different edge, branching on the cycles through the
+    lowest remaining edge id, the first strictly better cycle kept per
+    subset and both witnesses unwound from the memo. The reference of the
+    class-keyed search's differential tests."""
+    if g.m > edge_limit:
+        raise TooLargeError(f"m={g.m} exceeds the edge budget {edge_limit}")
+    if not is_eulerian(g):
+        raise NotEulerianError("cycle numbers are defined for connected even graphs")
+    if g.m == 0:
+        empty = CycleDecomposition(())
+        return OracleResult(0, 0, empty, empty)
+
+    inc = _incidence(g)
+    ends = tuple(g.edges())
+    # rem -> (c, nu, cycle mask of the minimum branch, of the maximum branch)
+    memo: dict[int, tuple[int, int, int, int]] = {}
+    # cycles listed by the branchings still open
+    held = 0
+    over = TooLargeError(f"more than {MAX_SEARCH_STATES} memo entries and listed cycles; "
+                         "the graph is too large for exhaustive search")
+
+    def solve(rem: int, depth: int) -> tuple[int, int, int, int]:
+        nonlocal held
+        hit = memo.get(rem)
+        if hit is not None:
+            return hit
+        if depth >= MAX_SEARCH_DEPTH:
+            raise _too_deep("subset search")
+        e0 = (rem & -rem).bit_length() - 1
+        a, b = ends[e0]
+        best = None
+        cycles = _cycles_through(inc, rem, e0, a, b, MAX_SEARCH_STATES - len(memo) - held, over)
+        held += len(cycles)
+        for cmask, _ in cycles:
+            rest = rem ^ cmask  # the cycle lies in rem
+            if rest:
+                c2, n2, _, _ = solve(rest, depth + 1)
+            else:
+                c2 = n2 = 0
+            if best is None:
+                best = [1 + c2, 1 + n2, cmask, cmask]
+            else:
+                if 1 + c2 < best[0]:
+                    best[0] = 1 + c2
+                    best[2] = cmask
+                if 1 + n2 > best[1]:
+                    best[1] = 1 + n2
+                    best[3] = cmask
+        assert best is not None, "even residual graph must contain a cycle"
+        held -= len(cycles)
+        res = (best[0], best[1], best[2], best[3])
+        memo[rem] = res
+        return res
+
+    full = (1 << g.m) - 1
+    c, nu, _, _ = solve(full, 0)
+
+    def unwind(branch: int) -> CycleDecomposition:
+        cycles = []
+        rem = full
+        while rem:
+            cmask = memo[rem][branch]
+            cycles.append(_cycle(g, inc, (rem & -rem).bit_length() - 1, cmask))
+            rem &= ~cmask
+        return CycleDecomposition(tuple(cycles))
+
+    return OracleResult(c, nu, unwind(2), unwind(3))
+
+
+def recursive_necklace_replay(tree: cd.NecklaceTree) -> bool:
+    """verify_necklace_replay as it was before it kept an explicit stack:
+    each node checks its parts first, left to right, then itself."""
+    if not tree.parts:
+        return cd.is_closed_necklace(tree.graph)
+    if not all(recursive_necklace_replay(part) for part in tree.parts):
+        return False
+    g_a = tree.parts[0].graph
+    g_b = tree.parts[1].graph
+    (ea, ua), (eb, ub) = tree.replay_anchors
+    h, _ = cd.edge_identification(g_a, ea, ua, g_b, eb, ub)
+    if h.n != tree.graph.n:
+        return False
+    ids_a, ids_b = tree.part_vertex_ids
+    back = list(ids_a) + list(ids_b)
+    pairs = tuple(sorted(tuple(sorted((back[a], back[b]))) for a, b in h.edges()))
+    return (h.n, pairs) == cd.endpoint_multiset(tree.graph)

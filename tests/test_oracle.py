@@ -1,13 +1,16 @@
 import hashlib
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cycledec as cd
-from conftest import eulerian_graphs, multigraphs
-from helpers import brute_tw_le_2, check_cycle, elimination_tw_le_2, mk_bowtie, mk_k4, mk_k5, small_eulerian_corpus
+from conftest import eulerian_graphs, multigraphs, seeds
+from helpers import (brute_tw_le_2, check_cycle, elimination_tw_le_2, mk_bowtie, mk_k4, mk_k5,
+                     recursive_necklace_replay, small_eulerian_corpus, subset_search_reference)
 
 
 class TestCycleNumbers:
@@ -76,6 +79,64 @@ class TestCycleNumbers:
         assert len(res.max_witness.cycles) == res.nu_max
         cd.validate_cycle_decomposition(g, res.min_witness)
         cd.validate_cycle_decomposition(g, res.max_witness)
+
+
+@st.composite
+def parallel_class_multigraphs(draw):
+    """A random Eulerian base graph with every edge repeated k in {1, 2, 3}
+    times, edges shuffled and endpoints flipped, so that the copies of a
+    parallel class do not have consecutive ids; m <= 20."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(2, min(8, 20 // k)))
+    seed = draw(seeds)
+    base = cd.gen_random_eulerian(n, draw(st.integers(0, 2)), seed)
+    if base.m * k > 20:
+        base = cd.gen_random_eulerian(n, 0, seed)
+    edges = draw(st.permutations([uv for uv in base.edges() for _ in range(k)]))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return cd.MultiGraph(n, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)])
+
+
+def family_graphs():
+    """Every generator family at oracle size."""
+    for n in (2, 3, 4, 6, 8, 10, 12):
+        yield cd.gen_eulerian_multiedge(n)
+        yield cd.gen_cycle(n)
+        yield cd.gen_closed_necklace(n)
+        for seed in (1, 2):
+            yield cd.gen_class_G(n, seed)[0]
+            yield cd.gen_class_H(n, seed)
+            yield cd.gen_class_H_prime(n, seed)
+            yield cd.gen_random_eulerian(n, 3, seed)
+
+
+class TestClassSearch:
+    """The search over parallel classes against the search over edge
+    subsets that it replaced: numbers and both witnesses."""
+
+    @given(parallel_class_multigraphs())
+    def test_matches_subset_search(self, g):
+        assert cd.oracle_cycle_numbers(g) == subset_search_reference(g)
+
+    def test_every_family_matches_subset_search(self):
+        count = 0
+        for g in family_graphs():
+            if g.m <= cd.DEFAULT_EDGE_LIMIT:
+                assert cd.oracle_cycle_numbers(g) == subset_search_reference(g), (g.n, list(g.edges()))
+                count += 1
+        assert count > 50
+
+    def test_class_counts_key_the_memo(self, monkeypatch):
+        # the least state cap that the closed necklace on 12 vertices fits
+        # in is 4,108 for a search over edge subsets and 14 for one over
+        # class counts; class H at n = 12 needs 14 to 54 with these seeds,
+        # and 524 with seed 2, whose graph has more single edges
+        graphs = [cd.gen_closed_necklace(12)] + [cd.gen_class_H(12, seed) for seed in (0, 1, 3, 4, 5)]
+        want = [subset_search_reference(g) for g in graphs]
+        monkeypatch.setattr(cd.oracle, "MAX_SEARCH_STATES", 100)
+        for g, res in zip(graphs, want):
+            assert g.m == cd.DEFAULT_EDGE_LIMIT
+            assert cd.oracle_cycle_numbers(g) == res
 
 
 class TestCyclePairScan:
@@ -273,6 +334,78 @@ class TestNecklaceDecomposition:
             for cut_seed in (1, 2, 3):
                 alt = sorted(l.graph.n for l in cd.decompose_class_H(g, cut_seed=cut_seed).leaves())
                 assert alt == base, (seed, cut_seed, base, alt)
+
+
+class TestNecklaceTreeWithoutRecursion:
+    def test_leaves_of_a_chain_deeper_than_the_recursion_limit(self):
+        leaf = cd.decompose_class_H(cd.gen_closed_necklace(2))
+        depth = sys.getrecursionlimit() + 100
+        tops = []
+        node = leaf
+        for _ in range(depth):
+            top = cd.NecklaceTree(leaf.graph, None, None, (), (), ())
+            node = cd.NecklaceTree(leaf.graph, None, None, (), ((0, 0), (0, 0)), (top, node))
+            tops.append(top)
+        leaves = node.leaves()
+        assert len(leaves) == depth + 1
+        assert all(got is want for got, want in zip(leaves, tops[::-1] + [leaf]))
+        # every leaf is a closed necklace, and the innermost inner node fails
+        # to rebuild its graph from its parts
+        assert cd.verify_necklace_replay(node) is False
+
+    @staticmethod
+    def outcome(check, tree):
+        try:
+            return check(tree)
+        except cd.GraphError as exc:
+            return type(exc)
+
+    def test_replay_matches_the_recursive_check(self):
+        outcomes = {True: 0, False: 0}
+        for n in range(2, 41, 3):
+            for seed in (1, 2):
+                tree = cd.decompose_class_H(cd.gen_class_H(n, seed))
+                assert cd.verify_necklace_replay(tree) is recursive_necklace_replay(tree) is True
+                outcomes[True] += 1
+                # tamper with one replay anchor of each inner node in turn
+                for path in self.inner_paths(tree):
+                    for tampered in self.tampered(tree, path):
+                        got = self.outcome(cd.verify_necklace_replay, tampered)
+                        assert got == self.outcome(recursive_necklace_replay, tampered)
+                        outcomes[got is True] += 1
+        assert outcomes[False]
+
+    @staticmethod
+    def inner_paths(tree):
+        """Paths (part indices from the root) of the inner nodes, at most eight."""
+        out = []
+        stack = [(tree, ())]
+        while stack and len(out) < 8:
+            node, path = stack.pop()
+            if node.parts:
+                out.append(path)
+                stack.extend((part, path + (i,)) for i, part in enumerate(node.parts))
+        return out
+
+    @staticmethod
+    def tampered(tree, path):
+        """Copies of tree with one replay anchor of the node at path changed."""
+        node = tree
+        for i in path:
+            node = node.parts[i]
+        (ea, ua), (eb, ub) = node.replay_anchors
+        a_graph = node.parts[0].graph
+        other = a_graph.other(ea, ua)
+        for anchors in (((ea, other), (eb, ub)), (((ea + 1) % a_graph.m, ua), (eb, ub))):
+            new = replace(node, replay_anchors=anchors)
+            for depth in range(len(path), 0, -1):
+                parent = tree
+                for i in path[:depth - 1]:
+                    parent = parent.parts[i]
+                parts = list(parent.parts)
+                parts[path[depth - 1]] = new
+                new = replace(parent, parts=tuple(parts))
+            yield new
 
 
 class TestFrozenSearch:
